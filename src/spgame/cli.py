@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import bruteforce, jsonio
-from .dijkstra import HAVE_NATIVE, interdicted_distances, shortest_longest_distances
+from .dijkstra import interdicted_distances, shortest_longest_distances
 from .errors import (
     CapExceeded,
     InputError,
@@ -79,20 +79,20 @@ def cmd_solve_interdiction(args) -> int:
 
 
 def cmd_phi(args) -> int:
+    if args.backend == "native":
+        raise InputError("native backend unavailable: spgame has one sweep kernel")
     game = jsonio.load_path(args.game)
     if isinstance(game, SPGame):
         if args.player is None:
             raise InputError("--player is required for plain games")
         _require_positive(game)
         game = normalize(game)
-        pot = shortest_longest_distances(game, args.player, backend=args.backend)
+        pot = shortest_longest_distances(game, args.player)
         _emit(jsonio.potentials_to_json(game.names, pot))
         return 0
     weights = game.r1 if args.metric == "r1" else game.r2
     oracle = game.oracle.dual() if args.dual else game.oracle
-    pot = interdicted_distances(
-        game.graph, game.terminal, weights, oracle, backend=args.backend
-    )
+    pot = interdicted_distances(game.graph, game.terminal, weights, oracle)
     _emit(jsonio.potentials_to_json(game.names, pot))
     return 0
 
@@ -189,7 +189,7 @@ def cmd_normalize(args) -> int:
 def cmd_bench(args) -> int:
     import random
 
-    from .dijkstra import _python_kernel, _try_native
+    from .dijkstra import _sweep
 
     def best_of(fn):
         best = None
@@ -212,39 +212,20 @@ def cmd_bench(args) -> int:
         }
         oracle = cardinality_oracle(graph, bounds)
 
-        def full(backend):
-            return interdicted_distances(
-                graph, sink, weights, oracle, check=False, backend=backend
+        py_s, _ = best_of(
+            lambda: interdicted_distances(
+                graph, sink, weights, oracle, check=False
             )
-
-        py_s, py_pot = best_of(lambda: full("python"))
-        ker_s, _ = best_of(
-            lambda: _python_kernel(graph, sink, weights, oracle.is_independent)
         )
+        ker_s, _ = best_of(lambda: _sweep(graph, sink, weights, oracle))
         row = {
             "edges": graph.m,
             "vertices": graph.n,
             "python_ms": round(py_s * 1000, 3),
             "python_kernel_ms": round(ker_s * 1000, 3),
         }
-        if HAVE_NATIVE:
-            nat_s, nat_pot = best_of(lambda: full("native"))
-            nker_s, _ = best_of(
-                lambda: _try_native(graph, sink, weights, oracle)
-            )
-            row["native_ms"] = round(nat_s * 1000, 3)
-            row["native_kernel_ms"] = round(nker_s * 1000, 3)
-            row["speedup"] = round(py_s / nat_s, 2) if nat_s > 0 else None
-            row["kernel_speedup"] = (
-                round(ker_s / nker_s, 2) if nker_s > 0 else None
-            )
-            row["agree"] = (
-                list(py_pot.potential) == list(nat_pot.potential)
-                and [sorted(b) for b in py_pot.blocked]
-                == [sorted(b) for b in nat_pot.blocked]
-            )
         rows.append(row)
-    _emit({"native_available": HAVE_NATIVE, "results": rows})
+    _emit({"results": rows})
     return 0
 
 
@@ -255,14 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and shortest path interdiction games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def backend_arg(p):
-        p.add_argument(
-            "--backend",
-            choices=("auto", "python", "native"),
-            default="auto",
-            help="sweep kernel selection (default: auto)",
-        )
 
     p = sub.add_parser("solve", help="equilibrium of a plain game")
     p.add_argument("game")
@@ -298,7 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="query the dual oracle (interdiction games)",
     )
-    backend_arg(p)
+    # deprecated no-op: there is one sweep kernel
+    p.add_argument(
+        "--backend",
+        choices=("auto", "python", "native"),
+        default="auto",
+        help=argparse.SUPPRESS,
+    )
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("verify", help="brute-force equilibrium check")
@@ -330,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="FILE")
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("bench", help="time the sweep kernels")
+    p = sub.add_parser("bench", help="time the sweep")
     p.add_argument(
         "--edges",
         type=lambda s: [int(x) for x in s.split(",")],

@@ -9,37 +9,25 @@ vertex's final value: the blocker can force the mover to pay at least this
 much, and no admissible removal can force more.  Vertices never finalized
 get value infinity — there the blocker can cut the target off entirely.
 
-The sweep performs O(|E|) heap operations and one oracle query per
-extraction.  Ties are broken by arc index, so results are deterministic.
-
-Two interchangeable kernels exist: a pure-Python one (exact rationals, any
-oracle) and a compiled one (integer-scaled costs, threshold oracles).  They
-produce identical output and are cross-checked in the test suite.
+The sweep performs O(|E|) heap operations and, per extraction, one call
+of the vertex's growth step (`IndependenceOracle.growth_step`), which
+tries to add the extracted arc to the removal set.  One call costs O(1)
+for cardinality and budget rules and the dual of a budget rule, O(number
+of maximal sets) for explicit rules, and one rule query on the grown set
+for any other rule.  Ties are broken by arc index, so results are
+deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
 from typing import Callable, Sequence
 
 from .costs import INF, Cost, is_finite
 from .errors import InputError, InternalInvariantError, OracleViolation
 from .graph import Digraph
 from .independence import IndependenceOracle, sp_blocking_oracle
-
-try:  # compiled kernel is optional; everything works without it
-    from . import _fastcore
-except ImportError:  # pragma: no cover - depends on build environment
-    _fastcore = None
-
-HAVE_NATIVE = _fastcore is not None
-
-# keys may not exceed this after integer scaling, else the compiled kernel
-# is skipped in favor of the exact Python one
-_NATIVE_KEY_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -70,11 +58,12 @@ class Potentials:
         return self.potential[u]
 
 
-def _python_kernel(graph, t, weights, is_independent):
+def _sweep(graph, t, weights, oracle):
     n = graph.n
     finalized = [False] * n
     value: list = [None] * n
-    blocked = [set() for _ in range(n)]
+    blocked: dict = {}  # only vertices that were popped, to spare O(n) sets
+    growth: list = [None] * n
     witness: list = [None] * n
     order = [t]
     value[t] = 0
@@ -87,9 +76,12 @@ def _python_kernel(graph, t, weights, is_independent):
         u = tails[e]
         if finalized[u]:
             continue
-        grown = blocked[u] | {e}
-        if is_independent(u, grown):
-            blocked[u] = grown
+        add = growth[u]
+        if add is None:
+            add = growth[u] = oracle.growth_step(u)
+            blocked[u] = []
+        if add(e):
+            blocked[u].append(e)
         else:
             value[u] = key
             witness[u] = e
@@ -99,68 +91,11 @@ def _python_kernel(graph, t, weights, is_independent):
                 if not finalized[tails[e2]]:
                     heapq.heappush(heap, (weights[e2] + key, e2))
     potential = tuple(value[u] if finalized[u] else INF for u in range(n))
-    return potential, blocked, witness, order
-
-
-def _scaled_ints(values) -> tuple[list[int], int]:
-    # ints and integral fractions skip the lcm work entirely
-    if all(type(v) is int for v in values):
-        return list(values), 1
-    if all(v.denominator == 1 for v in values):
-        return [int(v) for v in values], 1
-    fracs = [Fraction(v) for v in values]
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    out = [int(f * scale) for f in fracs]
-    return out, scale
-
-
-def _try_native(graph, t, weights, oracle, all_int=False):
-    if _fastcore is None or not isinstance(oracle, IndependenceOracle):
-        return None
-    params = oracle.accumulator_params()
-    if params is None:
-        return None
-    bw, bc, integral, fits = params
-    m = graph.m
-    if m == 0:
-        return None
-    if all_int:
-        w_scaled, w_scale = list(weights), 1
-    else:
-        w_scaled, w_scale = _scaled_ints(weights)
-    if sum(w_scaled) >= _NATIVE_KEY_LIMIT:
-        return None
-    if integral:
-        if not fits:
-            return None
-    else:
-        # per-vertex scaling keeps threshold comparisons exact
-        bound = _NATIVE_KEY_LIMIT // (max(len(o) for o in graph.out) + 1)
-        sw, sc = [0] * m, [0] * graph.n
-        for u in range(graph.n):
-            arcs = graph.out[u]
-            if not arcs:
-                continue
-            local = [bw[e] for e in arcs]
-            local.append(bc[u])
-            scaled, _ = _scaled_ints(local)
-            if max(abs(x) for x in scaled) >= bound:
-                return None
-            for e, s in zip(arcs, scaled):
-                sw[e] = s
-            sc[u] = scaled[-1]
-        bw, bc = sw, sc
-    phi_raw, blocked_groups, witness, order = _fastcore.sweep(
-        graph.n, t, graph.tails, graph.heads, w_scaled, graph.inc, bw, bc,
+    none = frozenset()
+    removal = tuple(
+        frozenset(blocked[u]) if u in blocked else none for u in range(n)
     )
-    if w_scale == 1:
-        potential = tuple(phi_raw)
-    else:
-        potential = tuple(
-            p if isinstance(p, float) else Fraction(p, w_scale)
-            for p in phi_raw
-        )
-    return potential, blocked_groups, witness, order
+    return potential, removal, witness, order
 
 
 def interdicted_distances(
@@ -169,12 +104,10 @@ def interdicted_distances(
     weights: Sequence,
     oracle: IndependenceOracle,
     check: bool = True,
-    backend: str = "auto",
 ) -> Potentials:
     """Worst-case shortest distance from every vertex to `t` when the
     blocker removes one independent arc set per vertex.  Weights must be
-    non-negative exact rationals (zeros allowed).  `backend` is "auto",
-    "python", or "native"."""
+    non-negative exact rationals (zeros allowed)."""
     if graph.out[t]:
         raise InputError("target vertex must have no outgoing arcs")
     for u in range(graph.n):
@@ -190,20 +123,11 @@ def interdicted_distances(
                 raise InputError("weights must be exact rationals or ints")
             if weights[e] < 0:
                 raise InputError(f"negative weight on arc {e}")
-    result = None
-    if backend not in ("auto", "python", "native"):
-        raise InputError(f"unknown backend {backend!r}")
-    if backend in ("auto", "native"):
-        result = _try_native(graph, t, weights, oracle, all_int)
-        if result is None and backend == "native":
-            raise InputError("native backend unavailable for this input")
-    if result is None:
-        result = _python_kernel(graph, t, weights, oracle.is_independent)
-    potential, blocked, witness, order = result
+    potential, blocked, witness, order = _sweep(graph, t, weights, oracle)
     pot = Potentials(
         t,
         potential,
-        tuple(frozenset(b) for b in blocked),
+        blocked,
         tuple(witness),
         tuple(order),
     )
@@ -258,7 +182,7 @@ def verify_potentials(graph, t, weights, oracle, pot: Potentials) -> None:
             )
 
 
-def shortest_longest_distances(game, player: int, backend: str = "auto") -> Potentials:
+def shortest_longest_distances(game, player: int) -> Potentials:
     """Worst-case shortest distances for `player`'s own costs: the player
     picks arcs at their vertices, the opponent forces arcs at theirs."""
     from .game import opponent
@@ -268,7 +192,6 @@ def shortest_longest_distances(game, player: int, backend: str = "auto") -> Pote
         game.terminal,
         game.cost(player),
         sp_blocking_oracle(game, opponent(player)),
-        backend=backend,
     )
 
 

@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import CapExceeded, InputError, InvalidSubset, OracleViolation
 from .graph import Digraph
-
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,6 @@ class IndependenceOracle:
     def __init__(self, graph: Digraph, rules: Mapping[int, object]):
         self.graph = graph
         self.rules = dict(rules)
-        self._acc_params = _UNSET
         for u, rule in self.rules.items():
             ground = frozenset(graph.out[u])
             if not rule.independent(frozenset()):
@@ -132,51 +129,32 @@ class IndependenceOracle:
                 rules[u] = DualRule(rule, ground)
         return IndependenceOracle(self.graph, rules)
 
-    def accumulator_params(self):
-        """Per-arc weights and per-vertex capacities when every rule is a
-        pure threshold test (cardinality or budget); None otherwise.  Used
-        to route runs onto the compiled kernel.  Returns (arc weight list,
-        vertex cap list, all-integral flag, fits-64-bit flag); integral
-        entries are plain ints.  Cached — rules are immutable."""
-        if self._acc_params is _UNSET:
-            self._acc_params = self._build_acc_params()
-        return self._acc_params
-
-    def _build_acc_params(self):
-        def intify(x):
-            if isinstance(x, int):
-                return x, True
-            if x.denominator == 1:
-                return int(x), True
-            return x, False
-
-        bw: list = [0] * self.graph.m
-        bc: list = [0] * self.graph.n
-        integral = True
-        for u, rule in self.rules.items():
-            if isinstance(rule, CardinalityRule):
-                for e in self.graph.out[u]:
-                    bw[e] = 1
-                bc[u], ok = intify(rule.k)
-                integral = integral and ok
-            elif isinstance(rule, BudgetRule):
-                for e in self.graph.out[u]:
-                    c = rule.costs.get(e)
-                    if c is None or c <= 0:
-                        return None
-                    bw[e], ok = intify(c)
-                    integral = integral and ok
-                bc[u], ok = intify(rule.budget)
-                integral = integral and ok
-            else:
-                return None
-        fits = None
-        if integral:
-            # per-vertex accumulator sums stay below 2**62 by a degree bound
-            max_deg = max((len(o) for o in self.graph.out), default=0)
-            hi = max(max(bw), -min(bw), max(bc), -min(bc)) if bw else 0
-            fits = hi < (1 << 62) // (max_deg + 1)
-        return bw, bc, integral, fits
+    def growth_step(self, u: int) -> Callable[[int], bool]:
+        """Step that grows a removal set at `u` from empty, one outgoing arc
+        at a time and each arc at most once: `add(e)` keeps `e` and returns
+        True if the grown set is independent, else leaves the set as it was
+        and returns False.  Cardinality and budget rules, and the dual of a
+        budget rule (independent iff cost(S) < total - budget), cost O(1)
+        per arc; explicit rules cost O(number of maximal sets); any other
+        rule costs one `independent` query on the grown set."""
+        rule = self.rules[u]
+        if isinstance(rule, CardinalityRule):
+            return _threshold_step(None, rule.k, strict=False)
+        if isinstance(rule, BudgetRule):
+            return _threshold_step(rule.costs, rule.budget, strict=False)
+        if isinstance(rule, ExplicitRule):
+            return _explicit_step(rule.maximal)
+        if (
+            isinstance(rule, DualRule)
+            and isinstance(rule.inner, BudgetRule)
+            and rule.ground == self.ground(u)
+        ):
+            inner = rule.inner
+            total = sum((inner.costs[e] for e in rule.ground), Fraction(0))
+            return _threshold_step(
+                inner.costs, total - inner.budget, strict=True
+            )
+        return _query_step(rule)
 
     def describe(self) -> dict:
         kinds: dict[str, int] = {}
@@ -184,6 +162,53 @@ class IndependenceOracle:
             name = type(rule).__name__
             kinds[name] = kinds.get(name, 0) + 1
         return kinds
+
+
+def _threshold_step(costs, cap, strict: bool) -> Callable[[int], bool]:
+    """Growth step for "cost(S) <= cap", or "cost(S) < cap" if `strict`;
+    `costs` None counts arcs.  Exact: the sum stays an int or Fraction."""
+    spent = 0
+
+    def add(e: int) -> bool:
+        nonlocal spent
+        grown = spent + (1 if costs is None else costs[e])
+        if grown < cap or (grown == cap and not strict):
+            spent = grown
+            return True
+        return False
+
+    return add
+
+
+def _explicit_step(maximal) -> Callable[[int], bool]:
+    """Growth step for an explicit rule: keep the maximal sets that still
+    contain the grown set."""
+    live = maximal
+
+    def add(e: int) -> bool:
+        nonlocal live
+        kept = [m for m in live if e in m]
+        if kept:
+            live = kept
+            return True
+        return False
+
+    return add
+
+
+def _query_step(rule) -> Callable[[int], bool]:
+    """Growth step for any other rule: one query on the grown set."""
+    grown = frozenset()
+
+    def add(e: int) -> bool:
+        nonlocal grown
+        trial = grown | {e}
+        if rule.independent(trial):
+            grown = trial
+            return True
+        return False
+
+    return add
 
 
 def cardinality_oracle(graph: Digraph, k: Mapping[int, int] | int) -> IndependenceOracle:

@@ -289,10 +289,12 @@ def _one_sided_strategies(
             removed[u] = frozenset(
                 e for e in graph.out[u] if graph.heads[e] in U
             )
-            grow: set = set()
+            # the shortest prefix of the out-arcs that is dependent
+            add = oracle.growth_step(u)
+            grow = []
             for e in graph.out[u]:
-                grow.add(e)
-                if not oracle.is_independent(u, grow):
+                grow.append(e)
+                if not add(e):
                     break
             offered[u] = frozenset(grow)
             continue

@@ -113,11 +113,37 @@ def game_to_json(game: SPGame) -> dict:
     }
 
 
+def _rule_field(row, name):
+    if name not in row:
+        raise InputError(f"vertex {row['vertex']!r}: missing field {name!r}")
+    return row[name]
+
+
+def _rule_int(row, name, value) -> int:
+    """An integer written as a JSON integer or a string of one (object keys
+    are strings); anything else names the vertex and field."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(
+        f"vertex {row['vertex']!r}: field {name!r} needs integers, got {value!r}"
+    )
+
+
+def _rule_cost(row, name, value) -> Fraction:
+    try:
+        return parse_cost(value)
+    except InputError as exc:
+        raise InputError(f"vertex {row['vertex']!r}: field {name!r}: {exc}") from exc
+
+
 def _rule_from_json(row, graph, u) -> object:
     kind = row.get("kind")
     deg = len(graph.out[u])
     if kind == "cardinality":
-        k = int(row["k"])
+        k = _rule_int(row, "k", _rule_field(row, "k"))
         if not 0 <= k < deg:
             raise InputError(
                 f"vertex {row['vertex']!r}: cardinality bound {k} out of "
@@ -125,9 +151,14 @@ def _rule_from_json(row, graph, u) -> object:
             )
         return CardinalityRule(k)
     if kind == "budget":
+        table = _rule_field(row, "costs")
+        if not isinstance(table, dict):
+            raise InputError(
+                f"vertex {row['vertex']!r}: field 'costs' must map arc ids to costs"
+            )
         costs = {}
-        for key, val in row["costs"].items():
-            costs[int(key)] = parse_cost(val)
+        for key, val in table.items():
+            costs[_rule_int(row, "costs", key)] = _rule_cost(row, "costs", val)
         missing = [e for e in graph.out[u] if e not in costs]
         if missing:
             raise InputError(
@@ -138,9 +169,17 @@ def _rule_from_json(row, graph, u) -> object:
             raise InputError(
                 f"vertex {row['vertex']!r}: non-positive removal costs on {bad}"
             )
-        return BudgetRule(costs, parse_cost(row["budget"]))
+        return BudgetRule(costs, _rule_cost(row, "budget", _rule_field(row, "budget")))
     if kind == "explicit":
-        sets = [frozenset(int(e) for e in s) for s in row["maximal"]]
+        maximal = _rule_field(row, "maximal")
+        if not isinstance(maximal, list) or not all(
+            isinstance(s, list) for s in maximal
+        ):
+            raise InputError(
+                f"vertex {row['vertex']!r}: field 'maximal' must be a list of "
+                "arc-id lists"
+            )
+        sets = [frozenset(_rule_int(row, "maximal", e) for e in s) for s in maximal]
         ground = set(graph.out[u])
         for s in sets:
             if not s <= ground:

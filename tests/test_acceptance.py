@@ -237,9 +237,7 @@ def test_c7_sweep_scales_near_linearly(capsys):
         best = None
         for _ in range(5):
             t0 = time.perf_counter()
-            interdicted_distances(
-                graph, sink, weights, oracle, check=False, backend="auto"
-            )
+            interdicted_distances(graph, sink, weights, oracle, check=False)
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         times[edges] = best

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from spgame.cli import main
-from spgame.dijkstra import HAVE_NATIVE
 from spgame.generators import InstanceGenerator
 from spgame.jsonio import dumps, game_to_json, situation_to_json
 
@@ -124,9 +123,38 @@ def test_phi_interdiction_metrics_and_dual(capsys, interdict):
 
 
 def test_phi_backend_flag(capsys, interdict):
-    _, out_py, _ = run(capsys, "phi", interdict, "--backend", "python")
-    _, out_auto, _ = run(capsys, "phi", interdict, "--backend", "auto")
-    assert json.loads(out_py)["phi"] == json.loads(out_auto)["phi"]
+    # deprecated no-op; "native" fails as it did wherever it was not built
+    _, plain, _ = run(capsys, "phi", interdict)
+    for backend in ("python", "auto"):
+        code, out, _ = run(capsys, "phi", interdict, "--backend", backend)
+        assert code == 0 and out == plain
+    code, out, err = run(capsys, "phi", interdict, "--backend", "native")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize(
+    "rule, field",
+    [
+        ({"kind": "cardinality", "k": 1.5}, "k"),
+        ({"kind": "cardinality", "k": "one"}, "k"),
+        ({"kind": "cardinality"}, "k"),
+        ({"kind": "budget", "budget": 1}, "costs"),
+        ({"kind": "budget", "costs": {"2": 1, "3": 1}}, "budget"),
+        ({"kind": "budget", "costs": {"2": 1, "x": 1}, "budget": 1}, "costs"),
+        ({"kind": "explicit"}, "maximal"),
+    ],
+    ids=["k-fraction", "k-string", "no-k", "no-costs", "no-budget", "cost-key", "no-maximal"],
+)
+def test_bad_oracle_rule_is_input_error(capsys, tmp_path, interdict, rule, field):
+    with open(interdict) as fh:
+        obj = json.load(fh)
+    obj["oracles"][1] = {"vertex": "a", **rule}
+    code, out, err = run(capsys, "phi", write_json(tmp_path, obj))
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert "'a'" in report["message"] and repr(field) in report["message"]
 
 
 def test_verify_plain(capsys, tmp_path, chain):
@@ -278,10 +306,6 @@ def test_bench_smoke(capsys):
         capsys, "bench", "--edges", "300", "--repeats", "1", "--seed", "7"
     )
     assert code == 0
-    obj = json.loads(out)
-    assert obj["native_available"] == HAVE_NATIVE
-    row = obj["results"][0]
+    row = json.loads(out)["results"][0]
     assert row["vertices"] > 0 and row["edges"] > 0
     assert row["python_ms"] >= 0
-    if HAVE_NATIVE:
-        assert row["agree"] is True

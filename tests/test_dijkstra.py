@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,6 @@ import pytest
 from spgame.bruteforce import exhaustive_phi
 from spgame.costs import INF
 from spgame.dijkstra import (
-    HAVE_NATIVE,
     Potentials,
     dist_from_source,
     dist_to_target,
@@ -22,6 +22,7 @@ from spgame.graph import Digraph
 from spgame.independence import (
     BudgetRule,
     CardinalityRule,
+    DualRule,
     IndependenceOracle,
     cardinality_oracle,
     explicit_rule,
@@ -216,45 +217,119 @@ def test_verify_rejects_false_infinity():
 
 
 # ---------------------------------------------------------------------------
-# backend parity
+# the growth step against one oracle query per extraction
 
 
-@pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel unavailable")
-def test_backends_agree_on_random_instances():
-    rng = random.Random(4)
-    gen = InstanceGenerator(seed=4)
-    for _ in range(40):
-        inst = gen.interdiction_game(
-            max_vertices=8, kinds=("cardinality", "budget")
-        )
-        g, t = inst.graph, inst.terminal
-        w = list(inst.r2)
-        if rng.random() < 0.5:
-            w = [x * F(1, rng.randint(1, 5)) for x in w]
-        py = interdicted_distances(g, t, w, inst.oracle, backend="python")
-        nat = interdicted_distances(g, t, w, inst.oracle, backend="native")
-        assert list(py.potential) == list(nat.potential)
-        assert py.blocked == nat.blocked
-        assert py.witness == nat.witness
-        assert py.order == nat.order
+def reference_sweep(graph, t, weights, oracle):
+    """The sweep with one oracle query per extraction: is the vertex's
+    removal set plus the extracted arc independent?"""
+    n = graph.n
+    finalized = [False] * n
+    value = [None] * n
+    blocked = [frozenset()] * n
+    witness = [None] * n
+    order = [t]
+    value[t] = 0
+    finalized[t] = True
+    heap = [(weights[e], e) for e in graph.inc[t]]
+    heapq.heapify(heap)
+    while heap:
+        key, e = heapq.heappop(heap)
+        u = graph.tails[e]
+        if finalized[u]:
+            continue
+        grown = blocked[u] | {e}
+        if oracle.is_independent(u, grown):
+            blocked[u] = grown
+            continue
+        value[u], witness[u], finalized[u] = key, e, True
+        order.append(u)
+        for e2 in graph.inc[u]:
+            if not finalized[graph.tails[e2]]:
+                heapq.heappush(heap, (weights[e2] + key, e2))
+    potential = tuple(value[u] if finalized[u] else INF for u in range(n))
+    return potential, tuple(blocked), tuple(witness), tuple(order)
 
 
-@pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel unavailable")
-def test_native_backend_explicit_rules_fall_back():
-    g = Digraph.from_arcs(2, [(0, 1), (0, 1)])
-    oracle = IndependenceOracle(g, {0: explicit_rule([{0}, {1}])})
-    with pytest.raises(InputError):
-        interdicted_distances(g, 1, (F(1), F(2)), oracle, backend="native")
-    pot = interdicted_distances(g, 1, (F(1), F(2)), oracle, backend="auto")
-    assert pot[0] == 2
+def random_rule(rng, arcs, kind):
+    deg = len(arcs)
+    if kind == "cardinality":
+        return CardinalityRule(rng.randint(0, deg - 1))
+    if kind == "budget":
+        costs = {e: F(rng.randint(1, 6), rng.randint(1, 4)) for e in arcs}
+        return BudgetRule(costs, sum(costs.values()) * F(rng.randint(0, 9), 10))
+    sets = []
+    for _ in range(rng.randint(1, 3)):
+        sub = [e for e in arcs if rng.random() < 0.6]
+        if len(sub) == deg:
+            sub.pop(rng.randrange(deg))
+        sets.append(sub)
+    return explicit_rule(sets)
 
 
-def test_unknown_backend_rejected():
-    g = Digraph.from_arcs(2, [(0, 1)])
-    with pytest.raises(InputError):
-        interdicted_distances(
-            g, 1, (F(1),), cardinality_oracle(g, 0), backend="gpu"
-        )
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize(
+    "kinds",
+    [("cardinality",), ("budget",), ("explicit",), ("cardinality", "budget", "explicit")],
+)
+def test_sweep_matches_reference_loop(kinds, dual):
+    rng = random.Random(f"{kinds}{dual}")
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        arcs = [
+            (u, rng.randrange(n))
+            for u in range(n - 1)
+            for _ in range(rng.randint(1, 6))
+        ]
+        g = Digraph.from_arcs(n, arcs)
+        w = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in arcs]
+        rules = {
+            u: random_rule(rng, g.out[u], rng.choice(kinds))
+            for u in range(n - 1)
+        }
+        oracle = IndependenceOracle(g, rules)
+        if dual:
+            oracle = oracle.dual()
+        pot = interdicted_distances(g, n - 1, w, oracle, check=False)
+        potential, blocked, witness, order = reference_sweep(g, n - 1, w, oracle)
+        assert pot.potential == potential
+        assert pot.blocked == blocked
+        assert pot.witness == witness
+        assert pot.order == order
+
+
+@pytest.mark.parametrize("kind", ["cardinality", "budget", "dual-budget"])
+def test_hub_sweep_queries_stay_linear(monkeypatch, kind):
+    # four hubs of 4,000 parallel arcs each, chained to the target; a sweep
+    # that re-queries the growing removal set pays the sum of its sizes,
+    # which is quadratic in the degree
+    deg = 4_000
+    rng = random.Random(11)
+    g = Digraph.from_arcs(5, [(u, u + 1) for u in range(4) for _ in range(deg)])
+    w = [rng.randint(1, 100) for _ in range(g.m)]
+    rules = {}
+    for u in range(4):
+        costs = {e: F(rng.randint(1, 5)) for e in g.out[u]}
+        total = sum(costs.values())
+        if kind == "cardinality":
+            rules[u] = CardinalityRule(deg // 2)
+        elif kind == "budget":
+            rules[u] = BudgetRule(costs, total / 2)
+        else:
+            rules[u] = DualRule(BudgetRule(costs, total / 3), frozenset(g.out[u]))
+    oracle = IndependenceOracle(g, rules)
+
+    passed = [0]
+    for cls in (CardinalityRule, BudgetRule, DualRule):
+        def counted(self, arcs, _inner=cls.independent):
+            passed[0] += len(arcs)
+            return _inner(self, arcs)
+
+        monkeypatch.setattr(cls, "independent", counted)
+    pot = interdicted_distances(g, 4, w, oracle, check=False)
+    assert pot.finite_vertices == {0, 1, 2, 3, 4}
+    m = g.m
+    assert passed[0] <= 4 * m
 
 
 # ---------------------------------------------------------------------------

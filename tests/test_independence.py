@@ -193,37 +193,6 @@ def test_enumeration_matches_membership():
 
 
 # ---------------------------------------------------------------------------
-# accumulator parameters (compiled-kernel routing)
-
-
-def test_accumulator_params_cardinality():
-    orc = cardinality_oracle(fan(3), 2)
-    bw, bc, integral, fits = orc.accumulator_params()
-    assert bw == [1, 1, 1]
-    assert bc[0] == 2
-    assert integral and fits
-
-
-def test_accumulator_params_budget_fractional():
-    orc = IndependenceOracle(
-        fan(2), {0: BudgetRule({0: F(1, 2), 1: F(1, 2)}, F(1, 2))}
-    )
-    bw, bc, integral, fits = orc.accumulator_params()
-    assert bw == [F(1, 2), F(1, 2)]
-    assert not integral and fits is None
-
-
-def test_accumulator_params_explicit_unsupported():
-    orc = IndependenceOracle(fan(2), {0: explicit_rule([{0}])})
-    assert orc.accumulator_params() is None
-
-
-def test_accumulator_params_cached():
-    orc = cardinality_oracle(fan(2), 1)
-    assert orc.accumulator_params() is orc.accumulator_params()
-
-
-# ---------------------------------------------------------------------------
 # blocking oracles induced by game ownership
 
 
