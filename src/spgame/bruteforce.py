@@ -13,8 +13,8 @@ from itertools import product
 from math import prod
 from typing import Sequence
 
-from .costs import INF, Cost, is_finite
-from .dijkstra import dist_from_source, dist_to_target
+from .costs import Cost, is_finite
+from .dijkstra import dist_to_target
 from .errors import CapExceeded
 from .game import (
     PLAYER1,
@@ -22,7 +22,6 @@ from .game import (
     Play,
     SPGame,
     Situation,
-    opponent,
     play_of,
 )
 from .graph import Digraph
@@ -37,6 +36,7 @@ from .interdiction import (
     InterdictionSituation,
     interdiction_cost,
 )
+from .ne import response_distances
 
 
 def default_cap() -> int:
@@ -80,34 +80,6 @@ def verify_ne(game: SPGame, sit: Situation, cap: int | None = None) -> VerifyRes
             if play.cost(player) < base.cost(player):
                 return VerifyResult(False, player, trial, play.cost(player))
     return VerifyResult(True)
-
-
-def best_response_value(game: SPGame, sit: Situation, player: int) -> Cost:
-    """Cheapest cost `player` can achieve against the fixed opponent part
-    of `sit`: a one-player shortest path question, solved independently of
-    the enumeration in `verify_ne`.  With positive costs the optimum play
-    is a simple path, so it is realized by a positional strategy."""
-    fixed = sit.sigma2 if player == PLAYER1 else sit.sigma1
-    g = game.graph
-    opp = opponent(player)
-
-    def ok(e: int) -> bool:
-        u = g.tails[e]
-        if game.owner[u] == opp:
-            return fixed[u] == e
-        return True
-
-    dist = dist_to_target(g, game.terminal, game.cost(player), arc_ok=ok)
-    return dist[game.start]
-
-
-def verify_ne_by_distances(game: SPGame, sit: Situation) -> bool:
-    """Second-style verifier used to cross-check `verify_ne`."""
-    base = play_of(game, sit)
-    return all(
-        base.cost(p) <= best_response_value(game, sit, p)
-        for p in (PLAYER1, PLAYER2)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +195,6 @@ def search_terminal_ne(
             f"{s1_count * s2_count} situations, cap is {cap}"
         )
 
-    t = game.terminal
-
-    def response(fixed_player, sigma, metric_player):
-        def ok(e):
-            u = g.tails[e]
-            return game.owner[u] != fixed_player or sigma[u] == e
-
-        return dist_to_target(g, t, game.cost(metric_player), arc_ok=ok)[
-            game.start
-        ]
-
     all_s1 = [
         dict(zip(v1, choice))
         for choice in product(*(g.out[u] for u in v1))
@@ -243,8 +204,9 @@ def search_terminal_ne(
         for choice in product(*(g.out[u] for u in v2))
     ]
     # best-response value for the *other* player against each strategy
-    value_against_s1 = [response(PLAYER1, s, PLAYER2) for s in all_s1]
-    value_against_s2 = [response(PLAYER2, s, PLAYER1) for s in all_s2]
+    s = game.start
+    value_against_s1 = [response_distances(game, PLAYER2, f)[s] for f in all_s1]
+    value_against_s2 = [response_distances(game, PLAYER1, f)[s] for f in all_s2]
 
     scanned = 0
     terminal_plays = 0

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
     SPGameError,
 )
-from .game import PLAYER1, PLAYER2, SPGame, normalize, play_of, validate
+from .game import PLAYER1, PLAYER2, SPGame, normalize, play_of, positive_costs
 from .generators import layered_graph
 from .independence import cardinality_oracle
 from .interdiction import InterdictionGame, reduce_to_sp, solve_interdiction
@@ -50,7 +50,7 @@ def _load_interdiction(path: str) -> InterdictionGame:
 
 
 def _require_positive(game: SPGame) -> None:
-    check = validate(game).check("positive_costs")
+    check = positive_costs(game)
     if not check.ok:
         raise InputError(check.detail)
 

@@ -212,24 +212,25 @@ class ValidationReport:
         raise KeyError(name)
 
 
+def positive_costs(game: SPGame) -> CheckResult:
+    """The `positive_costs` row of `validate`: one pass over the arcs."""
+    bad = [
+        e
+        for e in range(game.graph.m)
+        if game.r1[e] <= 0 or game.r2[e] <= 0
+    ]
+    return CheckResult(
+        "positive_costs",
+        not bad,
+        "" if not bad else f"non-positive cost on arcs {bad[:5]}",
+    )
+
+
 def validate(game: SPGame) -> ValidationReport:
     """Structural report: positivity, reachability both ways, absence of
     non-positive cycles, and existence of a terminal play."""
     g = game.graph
-    checks = []
-
-    bad = [
-        e
-        for e in range(g.m)
-        if game.r1[e] <= 0 or game.r2[e] <= 0
-    ]
-    checks.append(
-        CheckResult(
-            "positive_costs",
-            not bad,
-            "" if not bad else f"non-positive cost on arcs {bad[:5]}",
-        )
-    )
+    checks = [positive_costs(game)]
 
     ts = game.terminals
     checks.append(

@@ -36,12 +36,25 @@ _OWNER_TO_JSON = {PLAYER1: "P1", PLAYER2: "P2", TERMINAL: "T"}
 _OWNER_FROM_JSON = {v: k for k, v in _OWNER_TO_JSON.items()}
 
 
+def _json_int(value, where: str) -> int:
+    """An integer written as a JSON integer or a string of one (object keys
+    are strings); anything else is an InputError naming `where`."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{where} needs integers, got {value!r}")
+
+
 def _vertex_table(obj) -> tuple[list[str], dict[str, int]]:
     if "vertices" not in obj or not isinstance(obj["vertices"], list):
         raise InputError("missing vertex list")
     names = []
     index: dict[str, int] = {}
-    for row in obj["vertices"]:
+    for pos, row in enumerate(obj["vertices"]):
+        if not isinstance(row, dict) or "id" not in row:
+            raise InputError(f"vertices[{pos}].id: each vertex needs an id")
         vid = str(row["id"])
         if vid in index:
             raise InputError(f"duplicate vertex id {vid!r}")
@@ -54,8 +67,13 @@ def _arc_table(obj, index) -> tuple[list[tuple[int, int]], list[Fraction], list[
     pairs = []
     r1 = []
     r2 = []
-    for pos, row in enumerate(obj.get("arcs", [])):
-        if "id" in row and int(row["id"]) != pos:
+    arcs = obj.get("arcs", [])
+    if not isinstance(arcs, list):
+        raise InputError("arcs: expected a list of arc objects")
+    for pos, row in enumerate(arcs):
+        if not isinstance(row, dict):
+            raise InputError(f"arcs[{pos}]: expected an arc object")
+        if "id" in row and _json_int(row["id"], f"arcs[{pos}].id") != pos:
             raise InputError(
                 f"arc ids must match list positions (arc {pos} has id "
                 f"{row['id']!r})"
@@ -120,16 +138,7 @@ def _rule_field(row, name):
 
 
 def _rule_int(row, name, value) -> int:
-    """An integer written as a JSON integer or a string of one (object keys
-    are strings); anything else names the vertex and field."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise InputError(
-        f"vertex {row['vertex']!r}: field {name!r} needs integers, got {value!r}"
-    )
+    return _json_int(value, f"vertex {row['vertex']!r}: field {name!r}")
 
 
 def _rule_cost(row, name, value) -> Fraction:

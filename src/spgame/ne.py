@@ -5,7 +5,7 @@ case analysis on who can force the play to cycle forever:
 
 * if some player cannot force infinite cost, the other player's worst-case
   distances yield reduced costs whose zero arcs carry a terminal
-  equilibrium (built here, certified by construction invariants);
+  equilibrium (built here, certified by the best-response check);
 * if both players can force, the two forcing strategies together form a
   cyclic equilibrium where both pay infinity.
 
@@ -19,12 +19,12 @@ directly from the two maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
-from .costs import INF, Cost, is_finite
+from .costs import Cost, is_finite
 from .dijkstra import (
     Potentials,
     dist_to_target,
+    interdicted_distances,
     shortest_longest_distances,
     tight_path,
 )
@@ -44,6 +44,7 @@ from .game import (
     opponent,
     play_of,
 )
+from .independence import sp_blocking_oracle
 from .transform import ReducedCosts, reduce_costs
 
 
@@ -62,6 +63,13 @@ class BlockResult:
 
 @dataclass(frozen=True)
 class NEResult:
+    """An equilibrium that passed the best-response check.  The check
+    covers `situation`, `play` and the costs, and so the certificate's
+    `path`, which is the play.  The certificate's `potential` and infinite
+    regions are the sweep output the construction started from; `solve`
+    does not re-check them, so they are hints (`shortest_longest_distances`
+    recomputes them with `verify_potentials`)."""
+
     kind: str  # "terminal" | "cyclic"
     situation: Situation
     play: Play
@@ -74,32 +82,78 @@ class NEResult:
 
 
 # ---------------------------------------------------------------------------
+# best responses: the certificate of every equilibrium built here
+
+
+def _response_arcs(game: SPGame, player: int, fixed_sigma) -> list[bool]:
+    """Per arc: may `player` use it while the opponent's vertices are fixed
+    to `fixed_sigma`?"""
+    opp = opponent(player)
+    owner = game.owner
+    allowed = [owner[u] != opp for u in game.graph.tails]
+    for e in fixed_sigma.values():
+        allowed[e] = True
+    return allowed
+
+
+def response_distances(game: SPGame, player: int, fixed_sigma) -> list:
+    """Shortest distance in `player`'s costs from every vertex to the
+    terminal when the opponent's vertices are fixed to `fixed_sigma`: the
+    best `player` can do from each vertex against that strategy.  With
+    positive costs an optimal play is a simple path, so a positional
+    strategy attains it."""
+    allowed = _response_arcs(game, player, fixed_sigma)
+    return dist_to_target(
+        game.graph, game.terminal, game.cost(player), arc_ok=allowed.__getitem__
+    )
+
+
+def best_response_value(game: SPGame, sit: Situation, player: int) -> Cost:
+    """Cheapest cost `player` can achieve from the start against the fixed
+    opponent part of `sit`."""
+    fixed = sit.sigma2 if player == PLAYER1 else sit.sigma1
+    return response_distances(game, player, fixed)[game.start]
+
+
+def verify_ne_by_distances(game: SPGame, sit: Situation) -> bool:
+    """Polynomial equilibrium check: no player's best response against the
+    other's fixed strategy beats their cost in the play of `sit`."""
+    base = play_of(game, sit)
+    return all(
+        base.cost(p) <= best_response_value(game, sit, p)
+        for p in (PLAYER1, PLAYER2)
+    )
+
+
+def _certified(
+    game: SPGame, sit: Situation, certificate: dict, known: dict | None = None
+) -> NEResult:
+    """The one place results are built: trace the play, then require that
+    neither player has a cheaper best response.  `known` holds best-response
+    values the construction already took from `response_distances` against
+    `sit`.  A terminal play's arcs are recorded as the certificate's path."""
+    play = play_of(game, sit)
+    known = known or {}
+    for player in (PLAYER1, PLAYER2):
+        if player in known:
+            best = known[player]
+        else:
+            best = best_response_value(game, sit, player)
+        if best < play.cost(player):
+            raise InternalInvariantError(
+                f"player {player} can deviate from cost {play.cost(player)} "
+                f"to {best}"
+            )
+    if not play.is_terminal:
+        kind = "cyclic"
+    else:
+        kind = "terminal"
+        certificate = {**certificate, "path": play.arcs}
+    return NEResult(kind, sit, play, play.cost1, play.cost2, certificate)
+
+
+# ---------------------------------------------------------------------------
 # forcing and blocking
-
-
-def _closure_check(game: SPGame, pot: Potentials, mover: int) -> None:
-    """Sanity of the infinite region B: the mover cannot leave it, the
-    blocker cannot be pushed into it from outside, and the blocker can
-    always stay inside it."""
-    g = game.graph
-    B = pot.infinite_vertices
-    blocker = opponent(mover)
-    for u in range(g.n):
-        if game.owner[u] == mover:
-            if u in B and any(g.heads[e] not in B for e in g.out[u]):
-                raise InternalInvariantError(
-                    f"mover vertex {u} has an escape from the infinite region"
-                )
-        elif game.owner[u] == blocker:
-            if u not in B and any(g.heads[e] in B for e in g.out[u]):
-                raise InternalInvariantError(
-                    f"blocker vertex {u} outside the infinite region has an "
-                    "arc into it"
-                )
-            if u in B and all(g.heads[e] not in B for e in g.out[u]):
-                raise InternalInvariantError(
-                    f"blocker vertex {u} cannot stay in the infinite region"
-                )
 
 
 def _forcing_strategy(game: SPGame, pot: Potentials, blocker: int) -> dict:
@@ -110,10 +164,24 @@ def _forcing_strategy(game: SPGame, pot: Potentials, blocker: int) -> dict:
     sigma = {}
     for u in game.vertices_of(blocker):
         if u in B:
-            pick = next(e for e in g.out[u] if g.heads[e] in B)
+            pick = next((e for e in g.out[u] if g.heads[e] in B), g.out[u][0])
         else:
             pick = g.out[u][0]
         sigma[u] = pick
+    return sigma
+
+
+def _certified_forcing(
+    game: SPGame, pot: Potentials, player: int, cut
+) -> dict:
+    """`player`'s forcing strategy, checked to leave the opponent no path
+    to the terminal from any vertex of `cut`."""
+    sigma = _forcing_strategy(game, pot, player)
+    dist = response_distances(game, opponent(player), sigma)
+    if any(is_finite(dist[u]) for u in cut):
+        raise InternalInvariantError(
+            f"player {player}'s forcing strategy leaves a terminal path"
+        )
     return sigma
 
 
@@ -122,11 +190,11 @@ def can_force_infinite(game: SPGame, player: int) -> ForceResult:
     reaches the terminal?  True iff the opponent's worst-case distance at
     the start is infinite; returns a forcing strategy as witness."""
     pot = shortest_longest_distances(game, opponent(player))
-    if pot.infinite_vertices:
-        _closure_check(game, pot, opponent(player))
     if is_finite(pot[game.start]):
         return ForceResult(False)
-    return ForceResult(True, _forcing_strategy(game, pot, player))
+    return ForceResult(
+        True, _certified_forcing(game, pot, player, (game.start,))
+    )
 
 
 def can_block(game: SPGame, player: int) -> BlockResult:
@@ -134,13 +202,11 @@ def can_block(game: SPGame, player: int) -> BlockResult:
     containing the start?  A single positional strategy cuts every vertex
     of the infinite region simultaneously."""
     pot = shortest_longest_distances(game, opponent(player))
-    if pot.infinite_vertices:
-        _closure_check(game, pot, opponent(player))
     cut = pot.infinite_vertices - {game.start}
     if not cut:
         return BlockResult(False)
     return BlockResult(
-        True, frozenset(cut), _forcing_strategy(game, pot, player)
+        True, frozenset(cut), _certified_forcing(game, pot, player, cut)
     )
 
 
@@ -148,20 +214,14 @@ def can_block(game: SPGame, player: int) -> BlockResult:
 # reduced-cost alignment
 
 
-def _check_alignment(
-    game: SPGame, red: ReducedCosts, minimizer: int, vertices
-) -> None:
-    """At the minimizer's vertices the scoped reduced costs have minimum
-    exactly zero; at the other player's they have maximum exactly zero."""
+def _check_alignment(game: SPGame, red: ReducedCosts, minimizer: int) -> None:
+    """At the minimizer's vertices the reduced costs have minimum exactly
+    zero; at the other player's they have maximum exactly zero."""
     g = game.graph
-    for u in vertices:
+    for u in range(g.n):
         if game.owner[u] == TERMINAL:
             continue
-        vals = [red[e] for e in g.out[u] if e in red]
-        if not vals:
-            raise InternalInvariantError(
-                f"vertex {u} has no scoped arcs to align"
-            )
+        vals = [red[e] for e in g.out[u]]
         if game.owner[u] == minimizer:
             if min(vals) != 0:
                 raise InternalInvariantError(
@@ -192,9 +252,8 @@ def aligned_reduced_costs(
             )
     red1 = reduce_costs(game.graph, game.r1, pot1.potential)
     red2 = reduce_costs(game.graph, game.r2, pot2.potential)
-    everything = range(game.graph.n)
-    _check_alignment(game, red1, PLAYER1, everything)
-    _check_alignment(game, red2, PLAYER2, everything)
+    _check_alignment(game, red1, PLAYER1)
+    _check_alignment(game, red2, PLAYER2)
     return red1, red2, pot1, pot2
 
 
@@ -249,25 +308,16 @@ def ne_from_zero_reduced_costs(
     # the chosen arcs form one outgoing arc per non-terminal vertex; a cycle
     # would have zero total cost in the owner metrics, impossible in a
     # positive game — but verify rather than trust the caller's maps
-    path_arcs = []
+    on_path = set()
     u = game.start
-    seen = set()
     while game.owner[u] != TERMINAL:
-        if u in seen:
+        if u in on_path:
             raise PreconditionViolated(
                 "chosen zero-cost arcs close a cycle; reduced maps are not "
                 "aligned with a positive game"
             )
-        seen.add(u)
-        e = chosen[u]
-        path_arcs.append(e)
-        u = g.heads[e]
-    p = tuple(path_arcs)
-    on_path = set()
-    v = game.start
-    for e in p:
-        on_path.add(v)
-        v = g.heads[e]
+        on_path.add(u)
+        u = g.heads[chosen[u]]
 
     sigma = {PLAYER1: {}, PLAYER2: {}}
     for u in range(g.n):
@@ -278,16 +328,11 @@ def ne_from_zero_reduced_costs(
             sigma[i][u] = chosen[u]
         else:
             red_j = own[opponent(i)]
-            sigma[i][u] = next(e for e in g.out[u] if red_j[e] == 0)
+            sigma[i][u] = next(
+                (e for e in g.out[u] if red_j[e] == 0), g.out[u][0]
+            )
     sit = Situation(sigma[PLAYER1], sigma[PLAYER2])
-    play = play_of(game, sit)
-    if not play.is_terminal or play.arcs != p:
-        raise InternalInvariantError("constructed play does not follow the chosen arcs")
-    cert = {
-        "method": "aligned-zero",
-        "path": p,
-    }
-    return NEResult("terminal", sit, play, play.cost1, play.cost2, cert)
+    return _certified(game, sit, {"method": "aligned-zero"})
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +347,9 @@ def terminal_ne_against_forcer(
     The other player's worst-case distances split the graph into the
     finite region U (containing the start) and the infinite region B.  The
     strong player moves along arcs of zero reduced cost inside U; the weak
-    player answers with their own cheapest path through the resulting
-    subgraph, deviates onto zero arcs off the play, and stays inside B if
-    the play is ever pushed there."""
+    player answers with their own cheapest path against that strategy,
+    deviates onto zero arcs off the play, and stays inside B if the play is
+    ever pushed there."""
     m = opponent(weak_player)  # the player whose metric drives the region
     if pot is None:
         pot = shortest_longest_distances(game, m)
@@ -317,8 +362,6 @@ def terminal_ne_against_forcer(
         )
     B = pot.infinite_vertices
     U = pot.finite_vertices
-    if B:
-        _closure_check(game, pot, m)
 
     scope = [
         e
@@ -326,44 +369,28 @@ def terminal_ne_against_forcer(
         if g.tails[e] in U and g.heads[e] in U
     ]
     red = reduce_costs(g, game.cost(m), pot.potential, scope)
-    _check_alignment(game, red, m, U)
 
-    sigma_m: dict[int, int] = {}
-    strategy_arcs = set()
-    for u in game.vertices_of(m):
-        if u in U:
-            pick = next(
-                e for e in g.out[u] if e in red and red[e] == 0
-            )
-            sigma_m[u] = pick
-            strategy_arcs.add(pick)
-        else:
-            sigma_m[u] = g.out[u][0]  # every arc stays inside B
+    def zero_arc(u: int) -> int:
+        return next(
+            (e for e in g.out[u] if e in red and red[e] == 0), g.out[u][0]
+        )
 
-    def allowed(e: int) -> bool:
-        if e in strategy_arcs:
-            return True
-        u = g.tails[e]
-        return game.owner[u] == weak_player and e in red
+    # inside B every arc of the strong player stays inside B
+    sigma_m = {
+        u: zero_arc(u) if u in U else g.out[u][0]
+        for u in game.vertices_of(m)
+    }
 
-    wdist = dist_to_target(g, t, game.cost(weak_player), arc_ok=allowed)
+    # the play is the weak player's cheapest path against sigma_m; these are
+    # `response_distances`, with the arc mask kept for the path extraction
+    allowed = _response_arcs(game, weak_player, sigma_m).__getitem__
+    weights = game.cost(weak_player)
+    wdist = dist_to_target(g, t, weights, arc_ok=allowed)
     if not is_finite(wdist[s]):
         raise InternalInvariantError(
             "no terminal path in the zero-arc subgraph"
         )
-    _assert_dag_distance(game, t, allowed, game.cost(weak_player), wdist)
-    p = tight_path(g, s, t, game.cost(weak_player), wdist, arc_ok=allowed)
-    for e in p:
-        if red[e] > 0:
-            raise InternalInvariantError(
-                "play arc with positive reduced cost for the strong player"
-            )
-
-    on_path = set()
-    v = s
-    for e in p:
-        on_path.add(v)
-        v = g.heads[e]
+    p = tight_path(g, s, t, weights, wdist, arc_ok=allowed)
     path_arc_at = {}
     v = s
     for e in p:
@@ -372,18 +399,13 @@ def terminal_ne_against_forcer(
 
     sigma_w: dict[int, int] = {}
     for u in game.vertices_of(weak_player):
-        if u in on_path:
+        if u in path_arc_at:
             sigma_w[u] = path_arc_at[u]
         elif u in U:
-            sigma_w[u] = next(
-                e for e in g.out[u] if e in red and red[e] == 0
-            )
+            sigma_w[u] = zero_arc(u)
         else:
-            sigma_w[u] = next(e for e in g.out[u] if g.heads[e] in B)
-    for u in on_path:
-        if game.owner[u] == m and sigma_m[u] != path_arc_at[u]:
-            raise InternalInvariantError(
-                "play left the strong player's chosen arcs"
+            sigma_w[u] = next(
+                (e for e in g.out[u] if g.heads[e] in B), g.out[u][0]
             )
 
     sit = (
@@ -391,83 +413,40 @@ def terminal_ne_against_forcer(
         if m == PLAYER1
         else Situation(sigma_w, sigma_m)
     )
-    play = play_of(game, sit)
-    if not play.is_terminal or play.arcs != p:
-        raise InternalInvariantError(
-            "constructed situation does not trace the intended play"
-        )
     cert = {
         "method": "one-sided",
         "weak_player": weak_player,
         "potential": pot.potential,
         "infinite_region": tuple(sorted(B)),
-        "path": p,
     }
-    return NEResult("terminal", sit, play, play.cost1, play.cost2, cert)
-
-
-def _assert_dag_distance(game, t, allowed, weights, claimed) -> None:
-    """The zero-arc subgraph is acyclic (any cycle would cost zero for the
-    strong player, impossible with positive costs), so distances can be
-    recomputed by topological relaxation — an independent check on the
-    heap-based run."""
-    g = game.graph
-    arcs = [e for e in range(g.m) if allowed(e)]
-    indeg = {u: 0 for u in range(g.n)}
-    for e in arcs:
-        indeg[g.heads[e]] += 1
-    from collections import deque
-
-    queue = deque(u for u in range(g.n) if indeg[u] == 0)
-    topo = []
-    while queue:
-        u = queue.popleft()
-        topo.append(u)
-        for e in g.out[u]:
-            if allowed(e):
-                indeg[g.heads[e]] -= 1
-                if indeg[g.heads[e]] == 0:
-                    queue.append(g.heads[e])
-    if len(topo) != g.n:
-        raise InternalInvariantError("zero-arc subgraph contains a cycle")
-    dist = [INF] * g.n
-    dist[t] = 0
-    for u in reversed(topo):
-        for e in g.out[u]:
-            if allowed(e) and is_finite(dist[g.heads[e]]):
-                cand = weights[e] + dist[g.heads[e]]
-                if cand < dist[u]:
-                    dist[u] = cand
-    for u in range(g.n):
-        if dist[u] != claimed[u]:
-            raise InternalInvariantError(
-                f"independent distance check failed at vertex {u}"
-            )
+    return _certified(game, sit, cert, {weak_player: wdist[s]})
 
 
 def solve(game: SPGame) -> NEResult:
     """Nash equilibrium of a normalized positive game: a terminal one when
     some player cannot force infinite cost, else the cyclic pair of
-    forcing strategies."""
-    pot1 = shortest_longest_distances(game, PLAYER1)
-    if is_finite(pot1[game.start]):
-        return terminal_ne_against_forcer(game, PLAYER2, pot1)
-    pot2 = shortest_longest_distances(game, PLAYER2)
-    if is_finite(pot2[game.start]):
-        return terminal_ne_against_forcer(game, PLAYER1, pot2)
-    _closure_check(game, pot1, PLAYER1)
-    _closure_check(game, pot2, PLAYER2)
-    sigma2 = _forcing_strategy(game, pot1, PLAYER2)
-    sigma1 = _forcing_strategy(game, pot2, PLAYER1)
-    sit = Situation(sigma1, sigma2)
-    play = play_of(game, sit)
-    if play.is_terminal:
-        raise InternalInvariantError(
-            "both players force infinity yet the play terminated"
+    forcing strategies.  The sweeps run without `verify_potentials`; the
+    best-response check certifies the result instead."""
+    pots = {}
+    for weak in (PLAYER2, PLAYER1):
+        strong = opponent(weak)
+        pot = pots[strong] = interdicted_distances(
+            game.graph,
+            game.terminal,
+            game.cost(strong),
+            sp_blocking_oracle(game, weak),
+            check=False,
         )
+        if is_finite(pot[game.start]):
+            return terminal_ne_against_forcer(game, weak, pot)
+    pot1, pot2 = pots[PLAYER1], pots[PLAYER2]
+    sit = Situation(
+        _forcing_strategy(game, pot2, PLAYER1),
+        _forcing_strategy(game, pot1, PLAYER2),
+    )
     cert = {
         "method": "cyclic",
         "infinite_region_1": tuple(sorted(pot2.infinite_vertices)),
         "infinite_region_2": tuple(sorted(pot1.infinite_vertices)),
     }
-    return NEResult("cyclic", sit, play, INF, INF, cert)
+    return _certified(game, sit, cert)

@@ -3,12 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from spgame.bruteforce import (
-    best_response_value,
     default_cap,
     exhaustive_phi,
     search_terminal_ne,
     verify_ne,
-    verify_ne_by_distances,
     verify_ne_interdiction,
 )
 from spgame.costs import INF
@@ -19,6 +17,7 @@ from spgame.generators import InstanceGenerator
 from spgame.graph import Digraph
 from spgame.independence import cardinality_oracle
 from spgame.interdiction import InterdictionSituation, solve_interdiction
+from spgame.ne import best_response_value, verify_ne_by_distances
 
 
 def exit_choice_game():

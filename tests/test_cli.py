@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spgame import dijkstra
 from spgame.cli import main
 from spgame.generators import InstanceGenerator
 from spgame.jsonio import dumps, game_to_json, situation_to_json
@@ -73,6 +74,54 @@ def test_solve_rejects_nonpositive_costs(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["error"] == "InputError"
     assert "positive" in payload["message"]
+
+
+def test_plain_commands_skip_cycle_checks(capsys, monkeypatch, chain):
+    # positive costs imply positive cycles: the CLI's input check must not
+    # pay for validate()'s min-mean-cycle rows
+    def refuse(*args):
+        raise AssertionError("min_mean_cycle called")
+
+    monkeypatch.setattr("spgame.game.min_mean_cycle", refuse)
+    assert run(capsys, "solve", chain)[0] == 0
+    assert run(capsys, "phi", chain, "--player", "1")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda obj: obj["vertices"][0].pop("id"), "vertices[0].id"),
+        (lambda obj: obj["vertices"].__setitem__(0, "s"), "vertices[0].id"),
+        (lambda obj: obj.__setitem__("arcs", {"0": obj["arcs"][0]}), "arcs"),
+        (lambda obj: obj["arcs"][0].__setitem__("id", "x"), "arcs[0].id"),
+        (lambda obj: obj["arcs"].__setitem__(0, "s->a"), "arcs[0]"),
+    ],
+    ids=["vertex-no-id", "vertex-string", "arcs-not-list", "arc-id-string", "arc-string"],
+)
+def test_malformed_game_is_input_error(capsys, tmp_path, chain, mutate, field):
+    with open(chain) as fh:
+        obj = json.load(fh)
+    mutate(obj)
+    code, out, err = run(capsys, "solve", write_json(tmp_path, obj))
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert report["message"].startswith(field)
+
+
+def test_solve_certificate_failure_exits_3(capsys, monkeypatch, chain):
+    real = dijkstra._sweep
+
+    def start_too_far(graph, t, weights, oracle):
+        potential, blocked, witness, order = real(graph, t, weights, oracle)
+        # vertex 0 is the start; one more than its true worst-case distance
+        # sends player 1 down an arc they would rather not take
+        return (potential[0] + 1,) + potential[1:], blocked, witness, order
+
+    monkeypatch.setattr(dijkstra, "_sweep", start_too_far)
+    code, out, err = run(capsys, "solve", chain)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "InternalInvariantError"
 
 
 def test_solve_missing_file(capsys, tmp_path):

@@ -1,16 +1,24 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from spgame.bruteforce import best_response_value, verify_ne
+from spgame import dijkstra
+from spgame.bruteforce import verify_ne
 from spgame.costs import INF
 from spgame.dijkstra import shortest_longest_distances
-from spgame.errors import BlockerExists, PreconditionViolated, WeakPlayerCanForce
-from spgame.game import PLAYER1, PLAYER2, TERMINAL, SPGame, caterpillar
+from spgame.errors import (
+    BlockerExists,
+    InternalInvariantError,
+    PreconditionViolated,
+    WeakPlayerCanForce,
+)
+from spgame.game import PLAYER1, PLAYER2, TERMINAL, SPGame, caterpillar, play_of
 from spgame.generators import InstanceGenerator
 from spgame.graph import Digraph
 from spgame.ne import (
     aligned_reduced_costs,
+    best_response_value,
     can_block,
     can_force_infinite,
     ne_from_zero_reduced_costs,
@@ -226,3 +234,54 @@ def test_solve_cyclic_battery():
         res = solve(game)
         assert res.kind == "cyclic"
         assert verify_ne(game, res.situation).is_ne
+
+
+# ---------------------------------------------------------------------------
+# the best-response certificate against a faulty sweep
+
+
+def corrupting_sweep(real_sweep, rng):
+    """A sweep that returns its true output with one potential changed: a
+    finite value raised by 1, a finite value made infinite, or an infinite
+    value made 1."""
+
+    def sweep(graph, t, weights, oracle):
+        potential, blocked, witness, order = real_sweep(graph, t, weights, oracle)
+        phi = list(potential)
+        finite = [u for u, p in enumerate(phi) if p != INF]
+        infinite = [u for u, p in enumerate(phi) if p == INF]
+        faults = ["raise", "to_inf"] + (["from_inf"] if infinite else [])
+        fault = rng.choice(faults)
+        if fault == "raise":
+            phi[rng.choice(finite)] += 1
+        elif fault == "to_inf":
+            phi[rng.choice(finite)] = INF
+        else:
+            phi[rng.choice(infinite)] = 1
+        return tuple(phi), blocked, witness, order
+
+    return sweep
+
+
+def test_certificate_rejects_or_verifies_under_faulty_sweep(monkeypatch):
+    gen = InstanceGenerator(seed=505)
+    games = [gen.sp_game() for _ in range(400)]
+    monkeypatch.setattr(
+        dijkstra, "_sweep", corrupting_sweep(dijkstra._sweep, random.Random(5))
+    )
+    outcomes = {"rejected": 0, "verified": 0}
+    for game in games:
+        try:
+            res = solve(game)
+        except InternalInvariantError:
+            outcomes["rejected"] += 1
+            continue
+        # the check covers the situation, the play, its costs and the path;
+        # the potential and the regions stay unchecked hints (see NEResult)
+        assert verify_ne(game, res.situation).is_ne
+        play = play_of(game, res.situation)
+        assert (res.play, res.cost1, res.cost2) == (play, play.cost1, play.cost2)
+        if res.kind == "terminal":
+            assert res.certificate["path"] == play.arcs
+        outcomes["verified"] += 1
+    assert outcomes["rejected"] and outcomes["verified"], outcomes
