@@ -10,7 +10,6 @@ fails.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -24,10 +23,23 @@ from .errors import (
     PreconditionViolated,
     SPGameError,
 )
-from .game import PLAYER1, PLAYER2, SPGame, normalize, play_of, positive_costs
+from .game import (
+    PLAYER1,
+    PLAYER2,
+    SPGame,
+    normalize,
+    play_of,
+    positive_costs,
+    validate_situation,
+)
 from .generators import layered_graph
 from .independence import cardinality_oracle
-from .interdiction import InterdictionGame, reduce_to_sp, solve_interdiction
+from .interdiction import (
+    InterdictionGame,
+    reduce_to_sp,
+    solve_interdiction,
+    validate_interdiction_situation,
+)
 from .ne import solve
 
 
@@ -99,10 +111,10 @@ def cmd_phi(args) -> int:
 
 def cmd_verify(args) -> int:
     game = jsonio.load_path(args.game)
-    with open(args.situation) as fh:
-        sobj = json.load(fh)
+    sobj = jsonio.load_object(args.situation)
     if isinstance(game, SPGame):
         sit = jsonio.situation_from_json(game, sobj)
+        validate_situation(game, sit)
         res = bruteforce.verify_ne(game, sit, cap=args.cap)
         out = {"is_ne": res.is_ne}
         if not res.is_ne:
@@ -113,6 +125,7 @@ def cmd_verify(args) -> int:
             out["deviation_play"] = jsonio.play_to_json(game, play)
     else:
         sit = jsonio.interdiction_situation_from_json(game, sobj)
+        validate_interdiction_situation(game, sit)
         res = bruteforce.verify_ne_interdiction(game, sit, cap=args.cap)
         out = {"is_ne": res.is_ne}
         if not res.is_ne:

@@ -10,6 +10,10 @@ both metrics; otherwise both pay infinity.
 distances in player 2's metric when the removal oracle cannot disconnect
 the terminal, via the complementary (dual) system otherwise, and as a pair
 of mutually blocking strategies when both directions disconnect.
+
+Each result is certified by `verify_potentials` on every sweep the
+construction reads plus one builder, `_certified`; unlike plain games
+there is no polynomial best-response check (see `InterdictionNEResult`).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .errors import (
     CapExceeded,
     InputError,
     InternalInvariantError,
-    PreconditionViolated,
 )
 from .game import PLAYER1, PLAYER2, TERMINAL, SPGame, Situation, effective_cost
 from .graph import Digraph
@@ -84,6 +87,28 @@ class InterdictionSituation:
 
 @dataclass(frozen=True)
 class InterdictionNEResult:
+    """An equilibrium of `solve_interdiction`.
+
+    Each sweep the construction reads passed `verify_potentials`: at every
+    vertex u with removal set D(u), (a) D(u) is independent, (b) removed
+    arcs cost at most phi(u) through their head, (c) kept arcs at least
+    phi(u), (d) a kept arc attains phi(u), (e) the arcs within phi(u) are
+    dependent.  By (c) and (a), with downward closure, an infinite-region
+    vertex can sever all its arcs into the finite region; by (e) a
+    finite-region vertex cannot.  In reduced costs, (b)-(e) make the
+    offered nonpositive arcs dependent and the path arc the cheapest
+    survivor of the removal.  `_certified` then requires an admissible
+    situation whose common optimum is the path (none if cyclic).
+
+    That pair is the whole certificate.  Unlike plain games, player 1's
+    best response picks one independent set per vertex so that a path
+    becomes a common shortest path under both metrics, and no polynomial
+    check for it is known here: the paper's theorem on verified
+    potentials carries the equilibrium property, and
+    `bruteforce.verify_ne_interdiction` stays the desk-scale ground truth.
+    `certificate` names the method, the branch and the path (or both
+    sweeps' infinite regions), not enough to re-derive the equilibrium."""
+
     kind: str  # "terminal" | "cyclic"
     situation: InterdictionSituation
     path: tuple[int, ...] | None
@@ -150,21 +175,22 @@ def interdiction_cost(
         )
 
     common = {e for e in arcs if tight(e)}
-    # vertices that still reach t through common arcs
+    # vertices that still reach t through common arcs: one reverse search
     reach = {t}
-    changed = True
-    while changed:
-        changed = False
-        for e in common:
-            if g.heads[e] in reach and g.tails[e] not in reach:
-                reach.add(g.tails[e])
-                changed = True
+    stack = [t]
+    while stack:
+        for e in g.inc[stack.pop()]:
+            u = g.tails[e]
+            if e in common and u not in reach:
+                reach.add(u)
+                stack.append(u)
     if s not in reach:
         return INF, INF, None
     path = []
     u = s
     while u != t:
-        e = min(x for x in common if g.tails[x] == u and g.heads[x] in reach)
+        # out-lists are in arc order: the first qualifying arc is the lowest
+        e = next(x for x in g.out[u] if x in common and g.heads[x] in reach)
         path.append(e)
         u = g.heads[e]
         if len(path) > g.n:
@@ -181,31 +207,6 @@ def interdiction_cost(
 # equilibrium construction
 
 
-def _region_check(graph, t, oracle, pot: Potentials) -> None:
-    """Inside the infinite region the blocker can sever every arc back to
-    the finite region; inside the finite region it cannot."""
-    B = pot.infinite_vertices
-    U = pot.finite_vertices
-    for u in range(graph.n):
-        if u == t:
-            continue
-        into_U = frozenset(
-            e for e in graph.out[u] if graph.heads[e] in U
-        )
-        if u in B:
-            if not oracle.is_independent(u, into_U):
-                raise InternalInvariantError(
-                    f"infinite-region vertex {u} cannot sever its arcs to "
-                    "the finite region"
-                )
-        else:
-            if oracle.is_independent(u, into_U):
-                raise InternalInvariantError(
-                    f"finite-region vertex {u} could be fully severed from "
-                    "the finite region"
-                )
-
-
 def _one_sided_strategies(
     graph: Digraph,
     s: int,
@@ -216,7 +217,8 @@ def _one_sided_strategies(
     pot: Potentials,
 ):
     """Equilibrium strategies when the blocker cannot make the chooser's
-    worst-case distance at `s` infinite.
+    worst-case distance at `s` infinite, from a sweep that passed
+    `verify_potentials` (see `InterdictionNEResult`; nothing is re-checked).
 
     Reduced chooser costs over the finite region put every removed arc at
     <= 0, every kept arc at >= 0 with a zero witness, and the nonpositive
@@ -224,48 +226,14 @@ def _one_sided_strategies(
     is the equilibrium play.  On that path the blocker removes only the
     arcs strictly cheaper (in reduced cost) than the path arc, which makes
     the path arc the cheapest surviving option."""
-    if not is_finite(pot[s]):
-        raise PreconditionViolated("blocker disconnects the start")
     B = pot.infinite_vertices
     U = pot.finite_vertices
-    if B:
-        _region_check(graph, t, oracle, pot)
     scope = [
         e
         for e in range(graph.m)
         if graph.tails[e] in U and graph.heads[e] in U
     ]
     red = reduce_costs(graph, r_choose, pot.potential, scope)
-
-    for u in U:
-        if u == t:
-            continue
-        kept_zero = False
-        nonpositive = set()
-        for e in graph.out[u]:
-            if e in pot.blocked[u]:
-                if graph.heads[e] not in U or red[e] > 0:
-                    raise InternalInvariantError(
-                        f"removed arc {e} is not a nonpositive arc inside "
-                        "the finite region"
-                    )
-                nonpositive.add(e)
-            elif e in red:
-                if red[e] < 0:
-                    raise InternalInvariantError(
-                        f"kept arc {e} has negative reduced cost"
-                    )
-                if red[e] == 0:
-                    kept_zero = True
-                    nonpositive.add(e)
-        if not kept_zero:
-            raise InternalInvariantError(
-                f"no kept zero-reduced-cost arc at vertex {u}"
-            )
-        if oracle.is_independent(u, nonpositive):
-            raise InternalInvariantError(
-                f"nonpositive arcs at vertex {u} form an independent set"
-            )
 
     good = {e for e in scope if red[e] <= 0}
     dist = dist_to_target(graph, t, r_path, arc_ok=good.__contains__)
@@ -303,38 +271,29 @@ def _one_sided_strategies(
         )
         if u in on_path:
             e = on_path[u]
-            cut = frozenset(
+            removed[u] = frozenset(
                 x for x in pot.blocked[u] if red[x] < red[e]
             )
-            rest = [
-                red[x]
-                for x in graph.out[u]
-                if x in red and x not in cut
-            ]
-            if min(rest) != red[e]:
-                raise InternalInvariantError(
-                    f"path arc at vertex {u} is not cheapest after removal"
-                )
-            removed[u] = cut
         else:
             removed[u] = pot.blocked[u]
     return removed, offered, p
 
 
 def solve_interdiction(game: InterdictionGame) -> InterdictionNEResult:
-    """Pure Nash equilibrium of an interdiction game."""
+    """Pure Nash equilibrium of an interdiction game, certified as
+    described in `InterdictionNEResult`."""
     g = game.graph
     s, t = game.start, game.terminal
-    pot2 = interdicted_distances(g, t, game.r2, game.oracle)
+    pot2 = interdicted_distances(g, t, game.r2, game.oracle, check=True)
     if is_finite(pot2[s]):
         removed, offered, p = _one_sided_strategies(
             g, s, t, game.oracle, game.r2, game.r1, pot2
         )
         cert: dict[str, Any] = {"method": "one-sided", "branch": "primal"}
-        return _finish_terminal(game, removed, offered, p, cert)
+        return _certified(game, removed, offered, p, cert)
 
     dual = game.oracle.dual()
-    potd = interdicted_distances(g, t, game.r1, dual)
+    potd = interdicted_distances(g, t, game.r1, dual, check=True)
     if is_finite(potd[s]):
         dremoved, doffered, p = _one_sided_strategies(
             g, s, t, dual, game.r1, game.r2, potd
@@ -346,7 +305,7 @@ def solve_interdiction(game: InterdictionGame) -> InterdictionNEResult:
             u: frozenset(g.out[u]) - dremoved[u] for u in dremoved
         }
         cert = {"method": "one-sided", "branch": "dual"}
-        return _finish_terminal(game, removed, offered, p, cert)
+        return _certified(game, removed, offered, p, cert)
 
     # both directions disconnect: mutual blocking, everyone pays infinity
     removed = {u: pot2.blocked[u] for u in range(g.n) if u != t}
@@ -355,34 +314,35 @@ def solve_interdiction(game: InterdictionGame) -> InterdictionNEResult:
         for u in range(g.n)
         if u != t
     }
-    sit = InterdictionSituation(removed, offered)
-    validate_interdiction_situation(game, sit)
-    c1, c2, common = interdiction_cost(game, sit)
-    if (c1, c2, common) != (INF, INF, None):
-        raise InternalInvariantError(
-            "mutual blocking still produced a terminal play"
-        )
     cert = {
         "method": "cyclic",
         "infinite_region_primal": tuple(sorted(pot2.infinite_vertices)),
         "infinite_region_dual": tuple(sorted(potd.infinite_vertices)),
     }
-    return InterdictionNEResult("cyclic", sit, None, INF, INF, cert)
+    return _certified(game, removed, offered, None, cert)
 
 
-def _finish_terminal(game, removed, offered, p, cert) -> InterdictionNEResult:
+def _certified(game, removed, offered, p, cert) -> InterdictionNEResult:
+    """The one builder of `InterdictionNEResult`: the situation must be
+    admissible and realize the path `p` in both players' costs, or, when
+    `p` is None, have no common optimum (both pay infinity)."""
     sit = InterdictionSituation(dict(removed), dict(offered))
-    validate_interdiction_situation(game, sit)
-    c1, c2, common = interdiction_cost(game, sit)
-    want1 = effective_cost(p, game.r1)
-    want2 = effective_cost(p, game.r2)
-    if common is None or c1 != want1 or c2 != want2:
+    try:
+        validate_interdiction_situation(game, sit)
+    except InputError as exc:
+        raise InternalInvariantError(f"constructed situation: {exc}") from exc
+    # the costs are finite exactly when a common optimum exists
+    c1, c2, _ = interdiction_cost(game, sit)
+    want = (INF, INF)
+    if p is not None:
+        want = (effective_cost(p, game.r1), effective_cost(p, game.r2))
+    if (c1, c2) != want:
         raise InternalInvariantError(
-            "constructed situation does not realize the intended path"
+            "constructed situation does not realize the intended play"
         )
-    cert = dict(cert)
-    cert["path"] = p
-    return InterdictionNEResult("terminal", sit, p, c1, c2, cert)
+    if p is None:
+        return InterdictionNEResult("cyclic", sit, None, INF, INF, cert)
+    return InterdictionNEResult("terminal", sit, p, c1, c2, {**cert, "path": p})
 
 
 # ---------------------------------------------------------------------------

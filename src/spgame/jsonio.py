@@ -287,15 +287,20 @@ def load_any(obj: Mapping):
     return game_from_json(obj)
 
 
-def load_path(path: str):
+def load_object(path: str) -> dict:
+    """The JSON object a file holds; anything else is an InputError."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object")
-    return load_any(obj)
+    return obj
+
+
+def load_path(path: str):
+    return load_any(load_object(path))
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +328,28 @@ def situation_to_json(game: SPGame, sit: Situation) -> dict:
     }
 
 
+def _situation_part(names, obj, key, convert) -> dict:
+    """`obj[key]` as a map from vertex index to `convert(value, field)`;
+    a malformed entry is an InputError naming its field."""
+    if not isinstance(obj, Mapping):
+        raise InputError("situation: expected a JSON object")
+    part = obj.get(key, {})
+    if not isinstance(part, Mapping):
+        raise InputError(f"{key}: expected an object keyed by vertex id")
+    index = {name: u for u, name in enumerate(names)}
+    out = {}
+    for name, value in part.items():
+        if name not in index:
+            raise InputError(f"{key}.{name}: unknown vertex {name!r} in situation")
+        out[index[name]] = convert(value, f"{key}.{name}")
+    return out
+
+
 def situation_from_json(game: SPGame, obj: Mapping) -> Situation:
-    index = {name: u for u, name in enumerate(game.names)}
-
-    def convert(part):
-        out = {}
-        for name, e in part.items():
-            if name not in index:
-                raise InputError(f"unknown vertex {name!r} in situation")
-            out[index[name]] = int(e)
-        return out
-
-    return Situation(convert(obj.get("sigma1", {})), convert(obj.get("sigma2", {})))
+    return Situation(
+        _situation_part(game.names, obj, "sigma1", _json_int),
+        _situation_part(game.names, obj, "sigma2", _json_int),
+    )
 
 
 def play_to_json(game: SPGame, play: Play) -> dict:
@@ -376,18 +391,14 @@ def interdiction_situation_to_json(
 def interdiction_situation_from_json(
     game: InterdictionGame, obj: Mapping
 ) -> InterdictionSituation:
-    index = {name: u for u, name in enumerate(game.names)}
-
-    def convert(part):
-        out = {}
-        for name, arcs in part.items():
-            if name not in index:
-                raise InputError(f"unknown vertex {name!r} in situation")
-            out[index[name]] = frozenset(int(e) for e in arcs)
-        return out
+    def arc_set(arcs, where) -> frozenset:
+        if not isinstance(arcs, list):
+            raise InputError(f"{where}: expected a list of arc ids")
+        return frozenset(_json_int(e, where) for e in arcs)
 
     return InterdictionSituation(
-        convert(obj.get("removed", {})), convert(obj.get("offered", {}))
+        _situation_part(game.names, obj, "removed", arc_set),
+        _situation_part(game.names, obj, "offered", arc_set),
     )
 
 

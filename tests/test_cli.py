@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spgame import dijkstra
+from spgame import dijkstra, interdiction
 from spgame.cli import main
 from spgame.generators import InstanceGenerator
 from spgame.jsonio import dumps, game_to_json, situation_to_json
@@ -147,6 +147,23 @@ def test_solve_interdiction(capsys, interdict):
     assert obj["situation"]["removed"] == {"a": [], "s": []}
 
 
+def test_solve_interdiction_certificate_failure_exits_3(
+    capsys, monkeypatch, interdict
+):
+    real = interdiction._one_sided_strategies
+
+    def nothing_offered_at_start(graph, s, *rest):
+        removed, offered, p = real(graph, s, *rest)
+        return removed, {**offered, s: frozenset()}, p
+
+    monkeypatch.setattr(
+        interdiction, "_one_sided_strategies", nothing_offered_at_start
+    )
+    code, out, err = run(capsys, "solve-interdiction", interdict)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "InternalInvariantError"
+
+
 def test_phi_plain_requires_player(capsys, chain):
     code, _, err = run(capsys, "phi", chain)
     assert code == 1
@@ -237,6 +254,44 @@ def test_verify_interdiction(capsys, tmp_path, interdict):
     code, out, _ = run(capsys, "verify", interdict, "--situation", str(sit))
     assert code == 0
     assert json.loads(out)["is_ne"] is True
+
+
+@pytest.mark.parametrize(
+    "game, text, field",
+    [
+        ("chain", '{"sigma1": {"s": 0', "invalid JSON"),
+        ("chain", "[1, 2]", "expected a JSON object"),
+        ("chain", '{"sigma1": {"s": "x"}}', "sigma1.s"),
+        ("interdict", '{"removed": {"s": 5}}', "removed.s"),
+        (
+            "interdict",
+            '{"removed": {"s": []}, "offered": {"s": [0, 1]}}',
+            "every non-terminal vertex",
+        ),
+        (
+            "interdict",
+            '{"removed": {"s": [], "a": []}, "offered": {"s": [0, 2], "a": [2, 3]}}',
+            "non-outgoing arcs",
+        ),
+    ],
+    ids=[
+        "truncated",
+        "top-level-list",
+        "arc-not-int",
+        "arcs-not-list",
+        "missing-vertex",
+        "foreign-arc",
+    ],
+)
+def test_bad_situation_is_input_error(capsys, tmp_path, request, game, text, field):
+    sit = tmp_path / "sit.json"
+    sit.write_text(text)
+    code, out, err = run(
+        capsys, "verify", request.getfixturevalue(game), "--situation", str(sit)
+    )
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert isinstance(report, dict) and field in report["message"]
 
 
 def test_verify_cap_exit_code(capsys, tmp_path):

@@ -2,9 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from spgame import interdiction
 from spgame.bruteforce import verify_ne_interdiction
 from spgame.costs import INF
-from spgame.errors import CapExceeded, InputError
+from spgame.errors import (
+    CapExceeded,
+    InputError,
+    InternalInvariantError,
+    OracleViolation,
+)
 from spgame.game import PLAYER1, PLAYER2, TERMINAL
 from spgame.generators import InstanceGenerator
 from spgame.graph import Digraph, min_mean_cycle
@@ -88,6 +94,26 @@ def test_cost_disconnected_playable_set():
         {0: frozenset({0}), 1: frozenset({1, 2, 3})},
     )
     assert interdiction_cost(game, sit) == (INF, INF, None)
+
+
+def test_cost_of_long_chain_takes_lowest_arcs():
+    # 4,000 links of two equal parallel arcs: every arc is a common
+    # optimum, and the lowest-index path takes the first arc of each pair
+    links = 4000
+    g = Digraph.from_arcs(
+        links + 1, [(u, u + 1) for u in range(links) for _ in range(2)]
+    )
+    game = InterdictionGame(
+        g, 0, links, (F(1),) * g.m, (F(3, 2),) * g.m, cardinality_oracle(g, 1)
+    )
+    sit = InterdictionSituation(
+        {u: frozenset() for u in range(links)}, full_offer(game)
+    )
+    assert interdiction_cost(game, sit) == (
+        links,
+        F(3, 2) * links,
+        tuple(range(0, g.m, 2)),
+    )
 
 
 def test_situation_validation():
@@ -185,6 +211,69 @@ def test_solve_battery_verified():
             branches["cyclic"] += 1
         assert verify_ne_interdiction(game, res.situation).is_ne
     assert branches["primal"] > 0 and branches["cyclic"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the certificate against faulty sweeps and constructions
+
+
+def desk_games(seed, count=400):
+    gen = InstanceGenerator(seed=seed)
+    return [gen.interdiction_game(max_vertices=5) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "faults, some_verified",
+    [(("raise", "to_inf", "from_inf"), False), (("unblock",), True)],
+    ids=["potential", "removal"],
+)
+def test_certificate_rejects_or_verifies_under_faulty_sweep(
+    faulty_sweep, faults, some_verified
+):
+    # verify_potentials catches every wrong potential; a dropped removal
+    # arc can leave a sweep that still passes it, and the equilibrium
+    # built from that sweep must then hold
+    games = desk_games(808)
+    faulty_sweep(8, faults)
+    outcomes = {"rejected": 0, "verified": 0}
+    for game in games:
+        try:
+            res = solve_interdiction(game)
+        except (InternalInvariantError, OracleViolation):
+            outcomes["rejected"] += 1
+            continue
+        assert verify_ne_interdiction(game, res.situation).is_ne
+        assert (res.cost1, res.cost2) == interdiction_cost(game, res.situation)[:2]
+        outcomes["verified"] += 1
+    assert outcomes["rejected"], outcomes
+    assert bool(outcomes["verified"]) == some_verified, outcomes
+
+
+def test_broken_construction_is_internal_error(monkeypatch):
+    real = interdiction._one_sided_strategies
+    calls = []
+
+    def nothing_offered_at_start(graph, s, *rest):
+        removed, offered, p = real(graph, s, *rest)
+        calls.append(s)
+        return removed, {**offered, s: frozenset()}, p
+
+    monkeypatch.setattr(
+        interdiction, "_one_sided_strategies", nothing_offered_at_start
+    )
+    outcomes = {"rejected": 0, "cyclic": 0}
+    for game in desk_games(909):
+        calls.clear()
+        try:
+            res = solve_interdiction(game)
+        except InternalInvariantError:
+            assert calls
+            outcomes["rejected"] += 1
+            continue
+        # only the cyclic branch builds its situation without the fault
+        assert not calls and res.kind == "cyclic"
+        outcomes["cyclic"] += 1
+    assert outcomes["rejected"] and outcomes["cyclic"], outcomes
 
 
 # ---------------------------------------------------------------------------

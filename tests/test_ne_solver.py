@@ -1,9 +1,7 @@
-import random
 from fractions import Fraction as F
 
 import pytest
 
-from spgame import dijkstra
 from spgame.bruteforce import verify_ne
 from spgame.costs import INF
 from spgame.dijkstra import shortest_longest_distances
@@ -240,35 +238,10 @@ def test_solve_cyclic_battery():
 # the best-response certificate against a faulty sweep
 
 
-def corrupting_sweep(real_sweep, rng):
-    """A sweep that returns its true output with one potential changed: a
-    finite value raised by 1, a finite value made infinite, or an infinite
-    value made 1."""
-
-    def sweep(graph, t, weights, oracle):
-        potential, blocked, witness, order = real_sweep(graph, t, weights, oracle)
-        phi = list(potential)
-        finite = [u for u, p in enumerate(phi) if p != INF]
-        infinite = [u for u, p in enumerate(phi) if p == INF]
-        faults = ["raise", "to_inf"] + (["from_inf"] if infinite else [])
-        fault = rng.choice(faults)
-        if fault == "raise":
-            phi[rng.choice(finite)] += 1
-        elif fault == "to_inf":
-            phi[rng.choice(finite)] = INF
-        else:
-            phi[rng.choice(infinite)] = 1
-        return tuple(phi), blocked, witness, order
-
-    return sweep
-
-
-def test_certificate_rejects_or_verifies_under_faulty_sweep(monkeypatch):
+def test_certificate_rejects_or_verifies_under_faulty_sweep(faulty_sweep):
     gen = InstanceGenerator(seed=505)
     games = [gen.sp_game() for _ in range(400)]
-    monkeypatch.setattr(
-        dijkstra, "_sweep", corrupting_sweep(dijkstra._sweep, random.Random(5))
-    )
+    faulty_sweep(5)
     outcomes = {"rejected": 0, "verified": 0}
     for game in games:
         try:
