@@ -34,8 +34,8 @@ class SPGame:
     graph: Digraph
     owner: tuple[int, ...]
     start: int
-    r1: tuple[Fraction, ...]
-    r2: tuple[Fraction, ...]
+    r1: tuple[Cost, ...]
+    r2: tuple[Cost, ...]
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -59,7 +59,7 @@ class SPGame:
         elif len(self.names) != g.n:
             raise InputError("name list length does not match vertex count")
 
-    def cost(self, player: int) -> tuple[Fraction, ...]:
+    def cost(self, player: int) -> tuple[Cost, ...]:
         return self.r1 if player == PLAYER1 else self.r2
 
     def vertices_of(self, player: int) -> tuple[int, ...]:
@@ -228,9 +228,12 @@ def positive_costs(game: SPGame) -> CheckResult:
 
 def validate(game: SPGame) -> ValidationReport:
     """Structural report: positivity, reachability both ways, absence of
-    non-positive cycles, and existence of a terminal play."""
+    non-positive cycles, and existence of a terminal play.  Positive costs
+    imply positive cycles, so Karp's min-mean-cycle runs only when some
+    cost is not positive."""
     g = game.graph
-    checks = [positive_costs(game)]
+    positive = positive_costs(game)
+    checks = [positive]
 
     ts = game.terminals
     checks.append(
@@ -267,6 +270,13 @@ def validate(game: SPGame) -> ValidationReport:
     )
 
     for label, weights in (("r1", game.r1), ("r2", game.r2)):
+        if positive.ok:  # no need for Karp's O(n*m) table
+            checks.append(
+                CheckResult(
+                    f"positive_cycles_{label}", True, "implied by positive costs"
+                )
+            )
+            continue
         mmc = min_mean_cycle(g, weights)
         ok = mmc is None or mmc > 0
         checks.append(
@@ -385,11 +395,12 @@ def normalize_with_maps(
                 names.append(f"{names[u]}~{names[v]}#{e}")
                 amap2[e] = len(new_arcs)
                 new_arcs.append((u, mid))
-                nr1.append(r1[e] / 2)
-                nr2.append(r2[e] / 2)
+                half1, half2 = Fraction(r1[e], 2), Fraction(r2[e], 2)
+                nr1.append(half1)
+                nr2.append(half2)
                 new_arcs.append((mid, v))
-                nr1.append(r1[e] / 2)
-                nr2.append(r2[e] / 2)
+                nr1.append(half1)
+                nr2.append(half2)
             else:
                 amap2[e] = len(new_arcs)
                 new_arcs.append((u, v))

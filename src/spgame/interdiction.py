@@ -46,8 +46,8 @@ class InterdictionGame:
     graph: Digraph
     start: int
     terminal: int
-    r1: tuple[Fraction, ...]
-    r2: tuple[Fraction, ...]
+    r1: tuple[Cost, ...]
+    r2: tuple[Cost, ...]
     oracle: IndependenceOracle
     names: tuple[str, ...] = ()
 
@@ -70,7 +70,7 @@ class InterdictionGame:
                 self, "names", tuple(f"v{u}" for u in range(g.n))
             )
 
-    def cost(self, player: int) -> tuple[Fraction, ...]:
+    def cost(self, player: int) -> tuple[Cost, ...]:
         return self.r1 if player == PLAYER1 else self.r2
 
     def name(self, u: int) -> str:
@@ -131,6 +131,15 @@ def validate_interdiction_situation(
             "non-terminal vertex"
         )
     for u in inner:
+        for label, arcs in (
+            ("removed", sit.removed[u]),
+            ("offered", sit.offered[u]),
+        ):
+            foreign = sorted(set(arcs).difference(g.out[u]))
+            if foreign:
+                raise InputError(
+                    f"{label} set at vertex {u}: arcs {foreign} do not leave it"
+                )
         if not game.oracle.is_independent(u, sit.removed[u]):
             raise InputError(f"removal set at vertex {u} is not independent")
         if game.oracle.is_independent(u, sit.offered[u]):
@@ -424,7 +433,7 @@ def reduce_to_sp(game: InterdictionGame, cap: int = 100_000) -> ReductionResult:
                 f"reduction needs {total}+ copies, cap is {cap}"
             )
 
-    delta = min(min(game.r1), min(game.r2)) / 2
+    delta = Fraction(min(min(game.r1), min(game.r2)), 2)
     n = g.n
     owner = [PLAYER1] * g.n
     owner[t] = TERMINAL

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .costs import cost_to_json, parse_cost
+from .costs import Cost, cost_to_json, parse_cost
 from .dijkstra import Potentials
 from .errors import InputError
 from .game import PLAYER1, PLAYER2, TERMINAL, Play, SPGame, Situation
@@ -63,10 +63,22 @@ def _vertex_table(obj) -> tuple[list[str], dict[str, int]]:
     return names, index
 
 
-def _arc_table(obj, index) -> tuple[list[tuple[int, int]], list[Fraction], list[Fraction]]:
+def _arc_table(obj, index) -> tuple[list[tuple[int, int]], list[Cost], list[Cost]]:
     pairs = []
     r1 = []
     r2 = []
+    # each distinct cost string is parsed once; only strings are memoized,
+    # since True and 1.0 hash like 1 and must still be rejected
+    parsed: dict[str, Cost] = {}
+
+    def cost(value) -> Cost:
+        if type(value) is not str:
+            return parse_cost(value)
+        c = parsed.get(value)
+        if c is None:
+            c = parsed[value] = parse_cost(value)
+        return c
+
     arcs = obj.get("arcs", [])
     if not isinstance(arcs, list):
         raise InputError("arcs: expected a list of arc objects")
@@ -83,8 +95,8 @@ def _arc_table(obj, index) -> tuple[list[tuple[int, int]], list[Fraction], list[
         except KeyError as exc:
             raise InputError(f"arc {pos}: unknown endpoint {exc}") from exc
         try:
-            r1.append(parse_cost(row["r1"]))
-            r2.append(parse_cost(row["r2"]))
+            r1.append(cost(row["r1"]))
+            r2.append(cost(row["r2"]))
         except (KeyError, InputError) as exc:
             raise InputError(f"arc {pos}: bad cost ({exc})") from exc
     return pairs, r1, r2
@@ -93,10 +105,10 @@ def _arc_table(obj, index) -> tuple[list[tuple[int, int]], list[Fraction], list[
 def game_from_json(obj: Mapping) -> SPGame:
     names, index = _vertex_table(obj)
     owner = []
-    for row in obj["vertices"]:
+    for pos, row in enumerate(obj["vertices"]):
         o = row.get("owner")
-        if o not in _OWNER_FROM_JSON:
-            raise InputError(f"vertex {row['id']!r}: owner must be P1, P2 or T")
+        if not isinstance(o, str) or o not in _OWNER_FROM_JSON:
+            raise InputError(f"vertices[{pos}].owner: must be P1, P2 or T, got {o!r}")
         owner.append(_OWNER_FROM_JSON[o])
     pairs, r1, r2 = _arc_table(obj, index)
     if str(obj.get("start")) not in index:
@@ -141,7 +153,7 @@ def _rule_int(row, name, value) -> int:
     return _json_int(value, f"vertex {row['vertex']!r}: field {name!r}")
 
 
-def _rule_cost(row, name, value) -> Fraction:
+def _rule_cost(row, name, value) -> Cost:
     try:
         return parse_cost(value)
     except InputError as exc:
@@ -214,8 +226,13 @@ def interdiction_from_json(obj: Mapping) -> InterdictionGame:
     for key in ("start", "terminal"):
         if str(obj.get(key)) not in index:
             raise InputError(f"missing or unknown {key} vertex")
+    rows = obj.get("oracles", [])
+    if not isinstance(rows, list):
+        raise InputError("oracles: expected a list of oracle objects")
     rules = {}
-    for row in obj.get("oracles", []):
+    for pos, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise InputError(f"oracles[{pos}]: expected an oracle object")
         vid = str(row.get("vertex"))
         if vid not in index:
             raise InputError(f"oracle spec for unknown vertex {vid!r}")

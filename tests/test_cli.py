@@ -88,18 +88,36 @@ def test_plain_commands_skip_cycle_checks(capsys, monkeypatch, chain):
 
 
 @pytest.mark.parametrize(
-    "mutate, field",
+    "game, mutate, field",
     [
-        (lambda obj: obj["vertices"][0].pop("id"), "vertices[0].id"),
-        (lambda obj: obj["vertices"].__setitem__(0, "s"), "vertices[0].id"),
-        (lambda obj: obj.__setitem__("arcs", {"0": obj["arcs"][0]}), "arcs"),
-        (lambda obj: obj["arcs"][0].__setitem__("id", "x"), "arcs[0].id"),
-        (lambda obj: obj["arcs"].__setitem__(0, "s->a"), "arcs[0]"),
+        ("chain", lambda obj: obj["vertices"][0].pop("id"), "vertices[0].id"),
+        ("chain", lambda obj: obj["vertices"].__setitem__(0, "s"), "vertices[0].id"),
+        ("chain", lambda obj: obj.__setitem__("arcs", {"0": obj["arcs"][0]}), "arcs"),
+        ("chain", lambda obj: obj["arcs"][0].__setitem__("id", "x"), "arcs[0].id"),
+        ("chain", lambda obj: obj["arcs"].__setitem__(0, "s->a"), "arcs[0]"),
+        ("interdict", lambda obj: obj.__setitem__("oracles", None), "oracles"),
+        ("interdict", lambda obj: obj["oracles"].__setitem__(0, 5), "oracles[0]"),
+        (
+            "chain",
+            lambda obj: obj["vertices"][0].__setitem__("owner", []),
+            "vertices[0].owner",
+        ),
     ],
-    ids=["vertex-no-id", "vertex-string", "arcs-not-list", "arc-id-string", "arc-string"],
+    ids=[
+        "vertex-no-id",
+        "vertex-string",
+        "arcs-not-list",
+        "arc-id-string",
+        "arc-string",
+        "oracles-null",
+        "oracle-not-object",
+        "owner-unhashable",
+    ],
 )
-def test_malformed_game_is_input_error(capsys, tmp_path, chain, mutate, field):
-    with open(chain) as fh:
+def test_malformed_game_is_input_error(
+    capsys, tmp_path, request, game, mutate, field
+):
+    with open(request.getfixturevalue(game)) as fh:
         obj = json.load(fh)
     mutate(obj)
     code, out, err = run(capsys, "solve", write_json(tmp_path, obj))
@@ -107,6 +125,53 @@ def test_malformed_game_is_input_error(capsys, tmp_path, chain, mutate, field):
     report = json.loads(err)
     assert report["error"] == "InputError"
     assert report["message"].startswith(field)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "x"])
+def test_bad_cost_is_input_error_after_valid_spellings(capsys, tmp_path, chain, bad):
+    # costs are parsed once per distinct string: a bad value must not pass
+    # as an earlier arc's valid 1 or "1", nor the second time it occurs
+    with open(chain) as fh:
+        obj = json.load(fh)
+    for arc, value in zip(obj["arcs"], [1, "1", 1, "1", bad, bad]):
+        arc["r1"] = value
+    code, out, err = run(capsys, "solve", write_json(tmp_path, obj))
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert report["message"].startswith("arc 4: bad cost")
+
+
+# `solve --certificate` on tests/data/mixed.json, as printed before costs
+# were solved on their integer image
+MIXED_SOLVE = {
+    "certificate": {
+        "infinite_region": [],
+        "method": "one-sided",
+        "path": [1, 5],
+        "potential": [2, "25/6", "5/4", "13/6", 0],
+        "weak_player": 2,
+    },
+    "costs": {"r1": 2, "r2": "8/5"},
+    "kind": "terminal",
+    "play": {
+        "arcs": [1, 5],
+        "cycle_start": None,
+        "kind": "terminal",
+        "r1": 2,
+        "r2": "8/5",
+        "vertices": ["s", "b", "t"],
+    },
+    "situation": {"sigma1": {"b": 5, "s": 1}, "sigma2": {"a": 4, "c": 8}},
+}
+
+
+def test_solve_mixed_denominators_output_is_pinned(capsys, data_dir):
+    code, out, err = run(
+        capsys, "solve", str(data_dir / "mixed.json"), "--certificate"
+    )
+    assert code == 0 and err == ""
+    assert out == dumps(MIXED_SOLVE)
 
 
 def test_solve_certificate_failure_exits_3(capsys, monkeypatch, chain):
@@ -271,7 +336,7 @@ def test_verify_interdiction(capsys, tmp_path, interdict):
         (
             "interdict",
             '{"removed": {"s": [], "a": []}, "offered": {"s": [0, 2], "a": [2, 3]}}',
-            "non-outgoing arcs",
+            "offered set at vertex 0: arcs [2] do not leave it",
         ),
     ],
     ids=[

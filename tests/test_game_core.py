@@ -218,6 +218,23 @@ def test_validate_flags_nonpositive_costs():
     assert report.check("positive_cycles_r2").ok
 
 
+def test_validate_positive_game_skips_min_mean_cycle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("min_mean_cycle called")
+
+    monkeypatch.setattr("spgame.game.min_mean_cycle", refuse)
+    game = tiny(
+        [PLAYER1, PLAYER2, TERMINAL],
+        [(0, 1), (1, 0), (1, 2)],
+        [1, 2, 3],
+        [1, 2, 3],
+    )
+    report = validate(game)
+    assert report.ok
+    for name in ("positive_cycles_r1", "positive_cycles_r2"):
+        assert report.check(name).detail == "implied by positive costs"
+
+
 def test_validate_flags_stranded_vertices():
     game = tiny(
         [PLAYER1, PLAYER1, TERMINAL],
@@ -302,6 +319,15 @@ def test_bipartize_alternates_owners():
             assert not (
                 out.owner[v] != TERMINAL and out.owner[u] == out.owner[v]
             )
+
+
+def test_bipartize_halves_int_costs_exactly():
+    g = Digraph.from_arcs(3, [(0, 1), (1, 2)])
+    game = SPGame(g, (PLAYER1, PLAYER1, TERMINAL), 0, (3, 4), (5, 2))
+    out = normalize(game, bipartize=True)
+    assert out.r1 == (F(3, 2), F(3, 2), 4)
+    assert out.r2 == (F(5, 2), F(5, 2), 2)
+    assert not any(isinstance(c, float) for c in out.r1 + out.r2)
 
 
 def test_bipartize_preserves_solution_costs():

@@ -29,6 +29,7 @@ from spgame.interdiction import (
     solve_interdiction,
     validate_interdiction_situation,
 )
+from spgame.jsonio import load_path
 from spgame.ne import solve
 
 
@@ -305,6 +306,14 @@ def test_reduction_preserves_path_costs():
         assert sp.r1[e] == game.r1[orig] - delta
         assert sp.r2[e] == game.r2[orig] - delta
         assert sp.graph.heads[e] == game.graph.heads[orig]
+
+
+def test_reduction_of_int_cost_game_stays_exact(data_dir):
+    game = load_path(str(data_dir / "interdict3.json"))
+    assert all(type(c) is int for c in game.r1 + game.r2)
+    sp = reduce_to_sp(game).sp_game
+    assert F(1, 2) in sp.r1
+    assert not any(isinstance(c, float) for c in sp.r1 + sp.r2)
 
 
 def test_reduction_cycles_stay_positive():

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from spgame import ne
 from spgame.bruteforce import verify_ne
 from spgame.costs import INF
 from spgame.dijkstra import shortest_longest_distances
@@ -11,9 +12,19 @@ from spgame.errors import (
     PreconditionViolated,
     WeakPlayerCanForce,
 )
-from spgame.game import PLAYER1, PLAYER2, TERMINAL, SPGame, caterpillar, play_of
+from spgame.game import (
+    PLAYER1,
+    PLAYER2,
+    TERMINAL,
+    SPGame,
+    caterpillar,
+    normalize,
+    opponent,
+    play_of,
+)
 from spgame.generators import InstanceGenerator
 from spgame.graph import Digraph
+from spgame.jsonio import load_path
 from spgame.ne import (
     aligned_reduced_costs,
     best_response_value,
@@ -232,6 +243,60 @@ def test_solve_cyclic_battery():
         res = solve(game)
         assert res.kind == "cyclic"
         assert verify_ne(game, res.situation).is_ne
+
+
+# ---------------------------------------------------------------------------
+# the integer image
+
+
+def with_cost(game, player, costs):
+    r1, r2 = (costs, game.r2) if player == PLAYER1 else (game.r1, costs)
+    return SPGame(game.graph, game.owner, game.start, r1, r2, game.names)
+
+
+@pytest.mark.parametrize("factor", [F(7, 3), 5, F(1, 12)])
+def test_solve_commutes_with_scaling_one_metric(factor):
+    gen = InstanceGenerator(seed=606)
+    for _ in range(40):
+        game = gen.sp_game(max_vertices=7)
+        base = solve(game)
+        for player in (PLAYER1, PLAYER2):
+            scaled = [c * factor for c in game.cost(player)]
+            res = solve(with_cost(game, player, tuple(scaled)))
+            assert (res.kind, res.situation) == (base.kind, base.situation)
+            assert res.cost(player) == base.cost(player) * factor
+            assert res.cost(opponent(player)) == base.cost(opponent(player))
+            if base.kind == "terminal":
+                strong = opponent(base.certificate["weak_player"])
+                k = factor if strong == player else 1
+                assert res.certificate["potential"] == tuple(
+                    p * k for p in base.certificate["potential"]
+                )
+
+
+def test_solve_sweeps_see_only_int_weights(monkeypatch, data_dir):
+    seen = []
+
+    def spy(real):
+        def wrapper(graph, t, weights, *args, **kwargs):
+            seen.append(all(type(w) is int for w in weights))
+            return real(graph, t, weights, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("interdicted_distances", "dist_to_target"):
+        monkeypatch.setattr(ne, name, spy(getattr(ne, name)))
+    games = [load_path(str(data_dir / f)) for f in ("chain.json", "mixed.json")]
+    gen = InstanceGenerator(seed=707)
+    for i in range(40):
+        game = gen.sp_game(max_vertices=7)  # integral Fraction costs
+        if i % 2:
+            r1 = tuple(c / (1 + i % 5) for c in game.r1)
+            game = with_cost(game, PLAYER1, r1)
+        games.append(game)
+    for game in games:
+        solve(normalize(game))
+    assert seen and all(seen)
 
 
 # ---------------------------------------------------------------------------
