@@ -182,12 +182,7 @@ def cmd_search(args) -> int:
 
 def cmd_normalize(args) -> int:
     game = _load_plain(args.game)
-    game = normalize(
-        game,
-        merge_terminals=True,
-        prune_unreachable=True,
-        bipartize=args.bipartize,
-    )
+    game = normalize(game, bipartize=args.bipartize)
     obj = jsonio.game_to_json(game)
     if args.output:
         with open(args.output, "w") as fh:

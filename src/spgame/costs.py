@@ -51,8 +51,10 @@ def parse_cost(value) -> int | Fraction:
 def integer_image(weights: Sequence) -> tuple[int, tuple[int, ...]]:
     """`(scale, ints)`: `scale` is the LCM of the denominators of the
     finite exact `weights`, and `ints[e] == weights[e] * scale`, each a
-    plain `int` (integral Fractions included).  Scaling a metric by a
-    positive constant keeps every comparison and tie between its sums."""
+    plain `int`.  `parse_cost` and `InstanceGenerator` give integral costs
+    as `int`, but games built in code may hold integral Fractions, which
+    become ints here too.  Scaling a metric by a positive constant keeps
+    every comparison and tie between its sums."""
     try:
         scale = lcm(*{c.denominator for c in weights})
     except AttributeError:

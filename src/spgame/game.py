@@ -22,8 +22,6 @@ TERMINAL = 0
 PLAYER1 = 1
 PLAYER2 = 2
 
-_OWNER_NAMES = {TERMINAL: "T", PLAYER1: "P1", PLAYER2: "P2"}
-
 
 def opponent(player: int) -> int:
     return 3 - player
@@ -142,9 +140,10 @@ def validate_situation(game: SPGame, sit: Situation) -> None:
                 raise InputError(f"strategy entry {u}->{e} is not an outgoing arc")
 
 
-def effective_cost(arcs, weights) -> Fraction:
-    """Sum of `weights` over an arc sequence (exact)."""
-    return sum((weights[e] for e in arcs), Fraction(0))
+def effective_cost(arcs, weights) -> Cost:
+    """Sum of `weights` over an arc sequence (exact): an `int` when every
+    weight summed is one."""
+    return sum(weights[e] for e in arcs)
 
 
 def play_of(game: SPGame, sit: Situation) -> Play:
@@ -294,147 +293,91 @@ def validate(game: SPGame) -> ValidationReport:
 # normalization
 
 
-def _rebuild(game, keep_vertex, owner, arcs, r1, r2, names, start):
-    vmap = {}
-    for u in range(game.graph.n):
-        if keep_vertex[u]:
-            vmap[u] = len(vmap)
-    new_names = [names[u] for u in sorted(vmap, key=vmap.get)]
-    amap = {}
-    pairs = []
-    nr1, nr2 = [], []
-    for e, (u, v) in enumerate(arcs):
-        if keep_vertex[u] and keep_vertex[v]:
-            amap[e] = len(pairs)
-            pairs.append((vmap[u], vmap[v]))
-            nr1.append(r1[e])
-            nr2.append(r2[e])
-    new_owner = [owner[u] for u in sorted(vmap, key=vmap.get)]
-    g = Digraph.from_arcs(len(vmap), pairs)
-    return (
-        SPGame(g, tuple(new_owner), vmap[start], tuple(nr1), tuple(nr2), tuple(new_names)),
-        vmap,
-        amap,
-    )
-
-
-def normalize_with_maps(
-    game: SPGame,
-    merge_terminals: bool = True,
-    prune_unreachable: bool = True,
-    bipartize: bool = False,
-):
+def normalize_with_maps(game: SPGame, bipartize: bool = False):
     """Like `normalize` but also returns the vertex and arc index maps
-    from the input game to the result (entries only for surviving items)."""
+    from the input game to the result.  `vmap` has an entry for every
+    surviving vertex; `amap` has one for every surviving arc, arcs into
+    merged-away terminals included, and sends a split arc to its first
+    half."""
     g = game.graph
-    owner = list(game.owner)
-    arcs = [(g.tails[e], g.heads[e]) for e in range(g.m)]
-    r1 = list(game.r1)
-    r2 = list(game.r2)
-    names = list(game.names)
-    start = game.start
-    vmap = {u: u for u in range(g.n)}
-    amap = {e: e for e in range(g.m)}
-
-    def compose(inner_v, inner_a):
-        nonlocal vmap, amap
-        vmap = {u: inner_v[w] for u, w in vmap.items() if w in inner_v}
-        amap = {e: inner_a[f] for e, f in amap.items() if f in inner_a}
-
-    ts = [u for u in range(len(owner)) if owner[u] == TERMINAL]
+    owner = game.owner
+    ts = game.terminals
     if not ts:
         raise NoTerminalPath("game has no terminal vertex")
-
-    if merge_terminals and len(ts) > 1:
-        t0 = start if start in ts else ts[0]
-        drop = set(ts) - {t0}
-        arcs = [(u, t0 if v in drop else v) for (u, v) in arcs]
-        taken = {names[u] for u in range(len(owner)) if u not in drop}
+    # terminals have no out-arcs, so merging them changes no other
+    # vertex's reachability: one search on the input graph decides both
+    seen = reachable_from(g, game.start)
+    if not any(owner[u] == TERMINAL for u in seen):
+        raise NoTerminalPath("no terminal vertex is reachable from the start")
+    t0 = game.start if game.start in ts else ts[0]
+    names = list(game.names)
+    if len(ts) > 1:
+        taken = {names[u] for u in range(g.n) if owner[u] != TERMINAL or u == t0}
+        taken.discard(names[t0])
         tname = "t"
-        while tname in taken - {names[t0]}:
+        while tname in taken:
             tname += "*"
         names[t0] = tname
-        keep = [u not in drop for u in range(len(owner))]
-        cur = SPGame(
-            Digraph.from_arcs(len(owner), arcs), tuple(owner), start,
-            tuple(r1), tuple(r2), tuple(names),
-        )
-        cur, iv, ia = _rebuild(cur, keep, owner, arcs, r1, r2, names, start)
-        compose(iv, ia)
-        owner, arcs = list(cur.owner), [
-            (cur.graph.tails[e], cur.graph.heads[e]) for e in range(cur.graph.m)
-        ]
-        r1, r2, names, start = list(cur.r1), list(cur.r2), list(cur.names), cur.start
 
-    if prune_unreachable:
-        tmp = Digraph.from_arcs(len(owner), arcs)
-        seen = reachable_from(tmp, start)
-        if not any(owner[u] == TERMINAL for u in seen):
-            raise NoTerminalPath("no terminal vertex is reachable from the start")
-        keep = [u in seen for u in range(len(owner))]
-        cur = SPGame(
-            tmp, tuple(owner), start, tuple(r1), tuple(r2), tuple(names)
-        )
-        cur, iv, ia = _rebuild(cur, keep, owner, arcs, r1, r2, names, start)
-        compose(iv, ia)
-        owner, arcs = list(cur.owner), [
-            (cur.graph.tails[e], cur.graph.heads[e]) for e in range(cur.graph.m)
-        ]
-        r1, r2, names, start = list(cur.r1), list(cur.r2), list(cur.names), cur.start
-
-    if bipartize:
-        # split every arc joining two vertices of the same player, assigning
-        # the midpoint to the other player and half the cost to each half
-        new_arcs = []
-        nr1, nr2 = [], []
-        amap2 = {}
-        for e, (u, v) in enumerate(arcs):
-            if owner[u] != TERMINAL and owner[u] == owner[v]:
-                mid = len(owner)
-                owner.append(opponent(owner[u]))
-                names.append(f"{names[u]}~{names[v]}#{e}")
-                amap2[e] = len(new_arcs)
-                new_arcs.append((u, mid))
-                half1, half2 = Fraction(r1[e], 2), Fraction(r2[e], 2)
-                nr1.append(half1)
-                nr2.append(half2)
-                new_arcs.append((mid, v))
-                nr1.append(half1)
-                nr2.append(half2)
-            else:
-                amap2[e] = len(new_arcs)
-                new_arcs.append((u, v))
-                nr1.append(r1[e])
-                nr2.append(r2[e])
-        arcs, r1, r2 = new_arcs, nr1, nr2
-        compose({u: u for u in range(len(owner))}, amap2)
-
+    vmap = {}
+    for u in range(g.n):
+        if u == t0 or (owner[u] != TERMINAL and u in seen):
+            vmap[u] = len(vmap)
+    index = [-1] * g.n  # -1: pruned
+    for u, w in vmap.items():
+        index[u] = w
+    for t in ts:
+        index[t] = vmap[t0]
+    new_owner = [owner[u] for u in vmap]
+    new_names = [names[u] for u in vmap]
+    pairs = []
+    r1, r2 = [], []
+    amap = {}
+    for e, (u, v, c1, c2) in enumerate(zip(g.tails, g.heads, game.r1, game.r2)):
+        a, b = index[u], index[v]
+        if a < 0:
+            continue
+        amap[e] = len(pairs)
+        # tails are never terminals, so equal owners mean one player moves twice
+        if bipartize and new_owner[a] == new_owner[b]:
+            mid = len(new_owner)
+            new_owner.append(opponent(new_owner[a]))
+            # len(amap) - 1 is the arc's index after pruning
+            new_names.append(f"{new_names[a]}~{new_names[b]}#{len(amap) - 1}")
+            half1, half2 = Fraction(c1, 2), Fraction(c2, 2)
+            pairs += ((a, mid), (mid, b))
+            r1 += (half1, half1)
+            r2 += (half2, half2)
+        else:
+            pairs.append((a, b))
+            r1.append(c1)
+            r2.append(c2)
     out = SPGame(
-        Digraph.from_arcs(len(owner), arcs),
-        tuple(owner),
-        start,
+        Digraph.from_arcs(len(new_owner), pairs),
+        tuple(new_owner),
+        vmap[game.start],
         tuple(r1),
         tuple(r2),
-        tuple(names),
+        tuple(new_names),
     )
-    if not any(out.owner[u] == TERMINAL for u in reachable_from(out.graph, out.start)):
-        raise NoTerminalPath("no terminal vertex is reachable from the start")
     return out, vmap, amap
 
 
-def normalize(
-    game: SPGame,
-    merge_terminals: bool = True,
-    prune_unreachable: bool = True,
-    bipartize: bool = False,
-) -> SPGame:
-    """Merge terminals into one, drop vertices the start cannot reach, and
-    optionally subdivide same-owner arcs so moves alternate.  Play costs of
-    corresponding situations are preserved exactly.  Raises NoTerminalPath
-    if no play can terminate."""
-    out, _, _ = normalize_with_maps(
-        game, merge_terminals, prune_unreachable, bipartize
-    )
+def normalize(game: SPGame, bipartize: bool = False) -> SPGame:
+    """Merge all terminals into one and drop the vertices the start cannot
+    reach, in one pass; with `bipartize`, also split every arc joining two
+    vertices of the same player so moves alternate.
+
+    Vertices and arcs keep their input order.  With two or more terminals,
+    the kept one is the start if it is a terminal, else the lowest-index
+    terminal, and it is renamed `t` (then `t*`, `t**`, ... while another
+    non-terminal vertex has the name).  A split arc `e` from `u` to `v`
+    gets the midpoint `"{u}~{v}#{e}"`, numbered after every kept vertex
+    and owned by the other player, with `e` the arc's index after pruning,
+    and each half costs half as much.  Play costs of corresponding
+    situations are preserved exactly.  Raises NoTerminalPath if the game
+    has no terminal or no play can terminate."""
+    out, _, _ = normalize_with_maps(game, bipartize)
     return out
 
 

@@ -7,7 +7,6 @@ full instance stream regardless of platform.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .costs import is_finite
 from .dijkstra import shortest_longest_distances
@@ -58,8 +57,8 @@ class InstanceGenerator:
             for u in range(n - 1):
                 for _ in range(rng.randint(1, max_out_degree)):
                     pairs.append((u, rng.randrange(n)))
-                    costs1.append(Fraction(rng.randint(lo, hi)))
-                    costs2.append(Fraction(rng.randint(lo, hi)))
+                    costs1.append(rng.randint(lo, hi))
+                    costs2.append(rng.randint(lo, hi))
             raw = SPGame(
                 Digraph.from_arcs(n, pairs),
                 tuple(owner),
@@ -109,8 +108,8 @@ class InstanceGenerator:
             budget_left -= deg
             for _ in range(deg):
                 pairs.append((u, rng.randrange(n)))
-                costs1.append(Fraction(rng.randint(lo, hi)))
-                costs2.append(Fraction(rng.randint(lo, hi)))
+                costs1.append(rng.randint(lo, hi))
+                costs2.append(rng.randint(lo, hi))
         graph = Digraph.from_arcs(n, pairs)
         rules = {}
         for u in range(n - 1):
@@ -126,9 +125,8 @@ class InstanceGenerator:
         if kind == "cardinality":
             return CardinalityRule(rng.randint(0, deg - 1))
         if kind == "budget":
-            costs = {e: Fraction(rng.randint(1, 5)) for e in arcs}
-            total = sum(costs.values())
-            return BudgetRule(costs, Fraction(rng.randint(0, int(total) - 1)))
+            costs = {e: rng.randint(1, 5) for e in arcs}
+            return BudgetRule(costs, rng.randint(0, sum(costs.values()) - 1))
         if kind == "explicit":
             gens = []
             for _ in range(rng.randint(1, 3)):

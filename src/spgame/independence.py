@@ -156,13 +156,6 @@ class IndependenceOracle:
             )
         return _query_step(rule)
 
-    def describe(self) -> dict:
-        kinds: dict[str, int] = {}
-        for rule in self.rules.values():
-            name = type(rule).__name__
-            kinds[name] = kinds.get(name, 0) + 1
-        return kinds
-
 
 def _threshold_step(costs, cap, strict: bool) -> Callable[[int], bool]:
     """Growth step for "cost(S) <= cap", or "cost(S) < cap" if `strict`;

@@ -1,7 +1,10 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from spgame import jsonio
 from spgame.errors import InputError, NoTerminalPath
 from spgame.game import (
     PLAYER1,
@@ -153,6 +156,19 @@ def test_effective_cost_is_exact():
     assert effective_cost((0, 1, 2), w) == 1
 
 
+def test_play_costs_stay_int_on_int_costs(data_dir):
+    # chain.json has int costs except r2 = 1/2 on arc 2
+    game = jsonio.load_path(str(data_dir / "chain.json"))
+    terminal_plays = 0
+    for sit in situations(game):
+        play = play_of(game, sit)
+        if play.is_terminal:
+            terminal_plays += 1
+            assert type(play.cost1) is int
+            assert (type(play.cost2) is int) == (2 not in play.arcs)
+    assert terminal_plays > 1
+
+
 def test_situations_enumeration():
     game = tiny(
         [PLAYER1, PLAYER2, TERMINAL],
@@ -265,6 +281,12 @@ def test_merge_terminals():
     assert out.graph.heads == (out.terminal, out.terminal)
 
 
+def test_merged_terminal_keeps_its_own_name_t():
+    g = Digraph.from_arcs(3, [(0, 1), (0, 2)])
+    game = SPGame(g, (PLAYER1, TERMINAL, TERMINAL), 0, (1, 2), (1, 2), ("s", "t", "x"))
+    assert normalize(game).names == ("s", "t")
+
+
 def test_prune_unreachable():
     game = tiny(
         [PLAYER1, TERMINAL, PLAYER2],
@@ -289,23 +311,119 @@ def test_normalize_requires_reachable_terminal():
         normalize(game)
 
 
+def raw_games(seed, count):
+    """Unnormalized games: 2-3 terminals, and vertices the start (vertex 0)
+    may not reach.  Draws whose start reaches no terminal are skipped."""
+    rng = random.Random(seed)
+    games = []
+    while len(games) < count:
+        k = rng.randint(2, 3)
+        n = rng.randint(k + 2, 6)
+        owner = [rng.choice((PLAYER1, PLAYER2)) for _ in range(n - k)]
+        owner += [TERMINAL] * k
+        pairs = [
+            (u, rng.randrange(1, n))
+            for u in range(n - k)
+            for _ in range(rng.randint(1, 2))
+        ]
+        r1 = [rng.choice((rng.randint(1, 5), F(rng.randint(1, 5), 3))) for _ in pairs]
+        r2 = [rng.randint(1, 5) for _ in pairs]
+        game = tiny(owner, pairs, r1, r2)
+        try:
+            normalize(game)
+        except NoTerminalPath:
+            continue
+        games.append(game)
+    return games
+
+
 def test_normalize_preserves_play_costs():
-    # forward-map every situation and compare exact play costs
+    # forward-map every situation and compare exact play costs; a midpoint
+    # has one move, the second half of its arc
     gen = InstanceGenerator(seed=42)
-    checked = 0
-    for _ in range(25):
-        game = gen.sp_game(max_vertices=5, max_out_degree=3)
-        out, vmap, amap = normalize_with_maps(game)
+    games = [gen.sp_game(max_vertices=5, max_out_degree=3) for _ in range(25)]
+    games += raw_games(seed=7, count=25)
+    checked = merged = pruned = 0
+    for game, bipartize in itertools.product(games, (False, True)):
+        out, vmap, amap = normalize_with_maps(game, bipartize=bipartize)
+        merged += len(game.terminals) > 1
+        pruned += any(
+            game.owner[u] != TERMINAL and u not in vmap for u in range(game.graph.n)
+        )
+        mids = {w: out.graph.out[w][0] for w in range(len(vmap), out.graph.n)}
         for sit in situations(game):
-            mapped = Situation(
-                {vmap[u]: amap[e] for u, e in sit.sigma1.items() if u in vmap},
-                {vmap[u]: amap[e] for u, e in sit.sigma2.items() if u in vmap},
-            )
+            sigmas = [
+                {vmap[u]: amap[e] for u, e in sigma.items() if u in vmap}
+                for sigma in (sit.sigma1, sit.sigma2)
+            ]
+            for w, e in mids.items():
+                sigmas[out.owner[w] - 1][w] = e
             a = play_of(game, sit)
-            b = play_of(out, mapped)
+            b = play_of(out, Situation(*sigmas))
             assert (a.cost1, a.cost2) == (b.cost1, b.cost2)
             checked += 1
-    assert checked > 100
+    assert checked > 300 and merged == 50 and pruned > 10
+
+
+def pinned_raw_game():
+    """Three terminals x, y, z (x kept); `u` is unreachable from the start
+    `s`; a non-terminal is already named `t`; arcs 3 and 5 enter dropped
+    terminals; the same-owner arcs 2 and 6 have pruned indices 1 and 5."""
+    names = ("u", "s", "t", "x", "q", "y", "z")
+    owner = (PLAYER1, PLAYER1, PLAYER2, TERMINAL, PLAYER1, TERMINAL, TERMINAL)
+    arcs = [(0, 1), (1, 2), (1, 4), (2, 5), (4, 3), (2, 6), (4, 1)]
+    r1 = (1, 3, 2, 4, 1, 1, 1)
+    r2 = (1, F(1, 2), 2, 1, 5, 7, 1)
+    g = Digraph.from_arcs(len(names), arcs)
+    return SPGame(g, owner, 1, r1, r2, names)
+
+
+def test_normalize_pinned_game():
+    out, vmap, amap = normalize_with_maps(pinned_raw_game())
+    assert out.names == ("s", "t", "t*", "q")
+    assert out.owner == (PLAYER1, PLAYER2, TERMINAL, PLAYER1)
+    assert out.start == 0
+    assert out.graph.tails == (0, 0, 1, 3, 1, 3)
+    assert out.graph.heads == (1, 3, 2, 2, 2, 0)
+    assert out.r1 == (3, 2, 4, 1, 1, 1)
+    assert out.r2 == (F(1, 2), 2, 1, 5, 7, 1)
+    assert [type(c) for c in out.r2] == [F, int, int, int, int, int]
+    assert vmap == {1: 0, 2: 1, 3: 2, 4: 3}
+    assert amap == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5}
+
+
+def test_normalize_pinned_game_bipartized():
+    out, vmap, amap = normalize_with_maps(pinned_raw_game(), bipartize=True)
+    assert out.names == ("s", "t", "t*", "q", "s~q#1", "q~s#5")
+    assert out.owner == (PLAYER1, PLAYER2, TERMINAL, PLAYER1, PLAYER2, PLAYER2)
+    assert out.start == 0
+    assert out.graph.tails == (0, 0, 4, 1, 3, 1, 3, 5)
+    assert out.graph.heads == (1, 4, 3, 2, 2, 2, 5, 0)
+    assert out.r1 == (3, 1, 1, 4, 1, 1, F(1, 2), F(1, 2))
+    assert out.r2 == (F(1, 2), 1, 1, 1, 5, 7, F(1, 2), F(1, 2))
+    assert [type(c) for c in out.r1] == [int, F, F, int, int, int, F, F]
+    assert vmap == {1: 0, 2: 1, 3: 2, 4: 3}
+    assert amap == {1: 0, 2: 1, 3: 3, 4: 4, 5: 5, 6: 6}
+
+
+@pytest.mark.parametrize("bipartize", [False, True])
+def test_normalize_builds_one_graph_and_one_game(monkeypatch, bipartize):
+    game = pinned_raw_game()
+    built = []
+    from_arcs, post_init = Digraph.from_arcs, SPGame.__post_init__
+
+    def spy_from_arcs(n, pairs):
+        built.append("graph")
+        return from_arcs(n, pairs)
+
+    def spy_post_init(self):
+        built.append("game")
+        post_init(self)
+
+    monkeypatch.setattr(Digraph, "from_arcs", staticmethod(spy_from_arcs))
+    monkeypatch.setattr(SPGame, "__post_init__", spy_post_init)
+    normalize(game, bipartize=bipartize)
+    assert sorted(built) == ["game", "graph"]
 
 
 def test_bipartize_alternates_owners():

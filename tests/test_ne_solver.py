@@ -289,10 +289,11 @@ def test_solve_sweeps_see_only_int_weights(monkeypatch, data_dir):
     games = [load_path(str(data_dir / f)) for f in ("chain.json", "mixed.json")]
     gen = InstanceGenerator(seed=707)
     for i in range(40):
-        game = gen.sp_game(max_vertices=7)  # integral Fraction costs
-        if i % 2:
-            r1 = tuple(c / (1 + i % 5) for c in game.r1)
-            game = with_cost(game, PLAYER1, r1)
+        game = gen.sp_game(max_vertices=7)
+        # integral Fraction costs, and a truly rational r1 in every other game
+        k = 1 + i % 5 if i % 2 else 1
+        game = with_cost(game, PLAYER1, tuple(F(c, k) for c in game.r1))
+        game = with_cost(game, PLAYER2, tuple(map(F, game.r2)))
         games.append(game)
     for game in games:
         solve(normalize(game))
