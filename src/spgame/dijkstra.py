@@ -9,13 +9,12 @@ vertex's final value: the blocker can force the mover to pay at least this
 much, and no admissible removal can force more.  Vertices never finalized
 get value infinity — there the blocker can cut the target off entirely.
 
-The sweep performs O(|E|) heap operations and, per extraction, one try
-to add the extracted arc to the vertex's removal set: a size test for a
-cardinality rule, else one call of the vertex's growth step
-(`IndependenceOracle.growth_step`).  One try costs O(1) for cardinality
-and budget rules and the dual of a budget rule, O(number of maximal
-sets) for explicit rules, and one rule query on the grown set for any
-other rule.  Ties are broken by arc index, so results are
+The sweep performs O(|E|) heap operations and, per extraction, one call
+of the vertex's growth step (`IndependenceOracle.growth_step`), which
+tries to add the extracted arc to the removal set.  One call costs O(1)
+for cardinality and budget rules and the dual of a budget rule, O(number
+of maximal sets) for explicit rules, and one rule query on the grown set
+for any other rule.  Ties are broken by arc index, so results are
 deterministic.
 """
 
@@ -28,11 +27,7 @@ from typing import Callable, Sequence
 from .costs import INF, Cost, is_finite
 from .errors import InputError, InternalInvariantError, OracleViolation
 from .graph import Digraph
-from .independence import (
-    CardinalityRule,
-    IndependenceOracle,
-    sp_blocking_oracle,
-)
+from .independence import IndependenceOracle, sp_blocking_oracle
 
 
 @dataclass(frozen=True)
@@ -67,45 +62,34 @@ def _sweep(graph, t, weights, oracle):
     n = graph.n
     finalized = [False] * n
     value: list = [None] * n
-    # removal set so far and growth rule, only at vertices that were popped,
-    # to spare O(n) sets; the rule is the bound k of a cardinality rule
-    # (tested inline, as the sweep's commonest case) or the growth step
-    blocked: dict = {}
-    growth: dict = {}
+    blocked: dict = {}  # only vertices that were popped, to spare O(n) sets
+    growth: list = [None] * n
     witness: list = [None] * n
     order = [t]
     value[t] = 0
     finalized[t] = True
-    tails, inc = graph.tails, graph.inc
-    rules = oracle.rules
-    pop, push = heapq.heappop, heapq.heappush
-    heap = [(weights[e], e) for e in inc[t] if not finalized[tails[e]]]
+    tails = graph.tails
+    heap = [(weights[e], e) for e in graph.inc[t] if not finalized[tails[e]]]
     heapq.heapify(heap)
     while heap:
-        key, e = pop(heap)
+        key, e = heapq.heappop(heap)
         u = tails[e]
         if finalized[u]:
             continue
-        grown = blocked.get(u)
-        if grown is None:
-            grown = blocked[u] = []
-            rule = rules[u]
-            growth[u] = (
-                rule.k
-                if type(rule) is CardinalityRule
-                else oracle.growth_step(u)
-            )
         add = growth[u]
-        if (len(grown) < add) if type(add) is int else add(e):
-            grown.append(e)
+        if add is None:
+            add = growth[u] = oracle.growth_step(u)
+            blocked[u] = []
+        if add(e):
+            blocked[u].append(e)
         else:
             value[u] = key
             witness[u] = e
             finalized[u] = True
             order.append(u)
-            for e2 in inc[u]:
+            for e2 in graph.inc[u]:
                 if not finalized[tails[e2]]:
-                    push(heap, (weights[e2] + key, e2))
+                    heapq.heappush(heap, (weights[e2] + key, e2))
     potential = tuple(value[u] if finalized[u] else INF for u in range(n))
     none = frozenset()
     removal = tuple(

@@ -223,7 +223,8 @@ def test_c7_sweep_scales_near_linearly(capsys):
     import random
 
     sizes = (25_000, 50_000, 100_000)
-    runs = {}
+    times = {}
+    rows = []
     for edges in sizes:
         graph, sink, weights = layered_graph(edges, seed=1007)
         rng = random.Random(1007 ^ edges)
@@ -232,22 +233,15 @@ def test_c7_sweep_scales_near_linearly(capsys):
             for u in range(graph.n)
             if graph.out[u]
         }
-        runs[edges] = graph, sink, weights, cardinality_oracle(graph, bounds)
-    # best of 5 per size, the sizes interleaved round by round: a slow
-    # spell of a shared machine then slows every size alike instead of
-    # all five samples of one size
-    times = {}
-    for _ in range(5):
-        for edges in sizes:
-            graph, sink, weights, oracle = runs[edges]
+        oracle = cardinality_oracle(graph, bounds)
+        best = None
+        for _ in range(5):
             t0 = time.perf_counter()
             interdicted_distances(graph, sink, weights, oracle, check=False)
             dt = time.perf_counter() - t0
-            times[edges] = min(times.get(edges, dt), dt)
-    rows = []
-    for edges in sizes:
-        best = times[edges]
-        rows.append(f"{runs[edges][0].m} edges: {best * 1000:.0f}ms")
+            best = dt if best is None else min(best, dt)
+        times[edges] = best
+        rows.append(f"{graph.m} edges: {best * 1000:.0f}ms")
         assert best <= 2.0, f"{edges} edges took {best:.2f}s, budget 2s"
     for small, big in ((25_000, 50_000), (50_000, 100_000)):
         ratio = times[big] / times[small]
