@@ -227,32 +227,6 @@ def dist_to_target(
     return dist
 
 
-def dist_from_source(
-    graph: Digraph,
-    s: int,
-    weights: Sequence,
-    arc_ok: Callable[[int], bool] | None = None,
-) -> list:
-    dist = [INF] * graph.n
-    dist[s] = 0
-    heap = [(0, s)]
-    done = [False] * graph.n
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for e in graph.out[u]:
-            if arc_ok is not None and not arc_ok(e):
-                continue
-            v = graph.heads[e]
-            nd = d + weights[e]
-            if not done[v] and nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 def tight_path(
     graph: Digraph,
     s: int,

@@ -330,6 +330,7 @@ def normalize_with_maps(game: SPGame, bipartize: bool = False):
         index[t] = vmap[t0]
     new_owner = [owner[u] for u in vmap]
     new_names = [names[u] for u in vmap]
+    taken = set(new_names) if bipartize else None  # names midpoints avoid
     pairs = []
     r1, r2 = [], []
     amap = {}
@@ -343,7 +344,11 @@ def normalize_with_maps(game: SPGame, bipartize: bool = False):
             mid = len(new_owner)
             new_owner.append(opponent(new_owner[a]))
             # len(amap) - 1 is the arc's index after pruning
-            new_names.append(f"{new_names[a]}~{new_names[b]}#{len(amap) - 1}")
+            mname = f"{new_names[a]}~{new_names[b]}#{len(amap) - 1}"
+            while mname in taken:
+                mname += "*"
+            taken.add(mname)
+            new_names.append(mname)
             half1, half2 = Fraction(c1, 2), Fraction(c2, 2)
             pairs += ((a, mid), (mid, b))
             r1 += (half1, half1)
@@ -372,10 +377,11 @@ def normalize(game: SPGame, bipartize: bool = False) -> SPGame:
     the kept one is the start if it is a terminal, else the lowest-index
     terminal, and it is renamed `t` (then `t*`, `t**`, ... while another
     non-terminal vertex has the name).  A split arc `e` from `u` to `v`
-    gets the midpoint `"{u}~{v}#{e}"`, numbered after every kept vertex
-    and owned by the other player, with `e` the arc's index after pruning,
-    and each half costs half as much.  Play costs of corresponding
-    situations are preserved exactly.  Raises NoTerminalPath if the game
+    gets the midpoint `"{u}~{v}#{e}"` (then with `*`, `**`, ... appended
+    while a kept vertex or an earlier midpoint has the name), numbered
+    after every kept vertex and owned by the other player, with `e` the
+    arc's index after pruning, and each half costs half as much.  Play
+    costs of corresponding situations are preserved exactly.  Raises NoTerminalPath if the game
     has no terminal or no play can terminate."""
     out, _, _ = normalize_with_maps(game, bipartize)
     return out

@@ -38,7 +38,7 @@ class BudgetRule:
     budget: Fraction
 
     def independent(self, arcs: frozenset) -> bool:
-        return sum((self.costs[e] for e in arcs), Fraction(0)) <= self.budget
+        return sum(self.costs[e] for e in arcs) <= self.budget
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class IndependenceOracle:
             and rule.ground == self.ground(u)
         ):
             inner = rule.inner
-            total = sum((inner.costs[e] for e in rule.ground), Fraction(0))
+            total = sum(inner.costs[e] for e in rule.ground)
             return _threshold_step(
                 inner.costs, total - inner.budget, strict=True
             )

@@ -25,7 +25,6 @@ from typing import Any, Mapping
 from .costs import INF, Cost, is_finite
 from .dijkstra import (
     Potentials,
-    dist_from_source,
     dist_to_target,
     interdicted_distances,
     tight_path,
@@ -157,9 +156,16 @@ def interdiction_cost(
     game: InterdictionGame, sit: InterdictionSituation
 ) -> tuple[Cost, Cost, tuple[int, ...] | None]:
     """Cost pair of a situation, and a common shortest path if the players
-    agree on one.  Exact: an (s, t)-path is a common optimum iff every arc
-    is tight for both metrics, so it suffices to intersect the two
-    shortest-path arc sets and test reachability."""
+    agree on one (the lowest-index one: `tight_path` over the common arcs).
+
+    Exact, from the two distances to the terminal alone.  Call an arc
+    e = (u, v) common when back_i(u) = r_i(e) + back_i(v) for both metrics
+    i.  Along a path of common arcs from s these equalities telescope, so
+    its costs are back_1(s) and back_2(s): it is a common optimum.
+    Conversely every arc of a common optimum is common, since each of its
+    suffixes is itself shortest.  Every vertex u such a path visits has
+    fwd_i(u) + back_i(u) = back_i(s), so there the common arcs are exactly
+    the arcs on some shortest (s, t)-path in both metrics."""
     g = game.graph
     s, t = game.start, game.terminal
     arcs = playable_arcs(game, sit)
@@ -167,47 +173,25 @@ def interdiction_cost(
     back1 = dist_to_target(g, t, game.r1, arc_ok=ok)
     if not is_finite(back1[s]):
         return INF, INF, None
-    fwd1 = dist_from_source(g, s, game.r1, arc_ok=ok)
     back2 = dist_to_target(g, t, game.r2, arc_ok=ok)
-    fwd2 = dist_from_source(g, s, game.r2, arc_ok=ok)
-    total1, total2 = back1[s], back2[s]
-
-    def tight(e: int) -> bool:
+    common = set()
+    for e in arcs:
         u, v = g.tails[e], g.heads[e]
-        return (
-            is_finite(fwd1[u])
-            and is_finite(back1[v])
-            and fwd1[u] + game.r1[e] + back1[v] == total1
-            and is_finite(fwd2[u])
+        if (
+            is_finite(back1[v])
+            and back1[u] == game.r1[e] + back1[v]
             and is_finite(back2[v])
-            and fwd2[u] + game.r2[e] + back2[v] == total2
-        )
-
-    common = {e for e in arcs if tight(e)}
-    # vertices that still reach t through common arcs: one reverse search
-    reach = {t}
-    stack = [t]
-    while stack:
-        for e in g.inc[stack.pop()]:
-            u = g.tails[e]
-            if e in common and u not in reach:
-                reach.add(u)
-                stack.append(u)
-    if s not in reach:
+            and back2[u] == game.r2[e] + back2[v]
+        ):
+            common.add(e)
+    on_common = common.__contains__
+    dist = dist_to_target(g, t, game.r1, arc_ok=on_common)
+    if not is_finite(dist[s]):
         return INF, INF, None
-    path = []
-    u = s
-    while u != t:
-        # out-lists are in arc order: the first qualifying arc is the lowest
-        e = next(x for x in g.out[u] if x in common and g.heads[x] in reach)
-        path.append(e)
-        u = g.heads[e]
-        if len(path) > g.n:
-            raise InternalInvariantError("common path extraction looped")
-    p = tuple(path)
+    p = tight_path(g, s, t, game.r1, dist, arc_ok=on_common)
     c1 = effective_cost(p, game.r1)
     c2 = effective_cost(p, game.r2)
-    if c1 != total1 or c2 != total2:
+    if c1 != back1[s] or c2 != back2[s]:
         raise InternalInvariantError("extracted path is not optimal for both")
     return c1, c2, p
 
@@ -254,11 +238,7 @@ def _one_sided_strategies(
 
     removed: dict[int, frozenset] = {}
     offered: dict[int, frozenset] = {}
-    on_path = {}
-    u = s
-    for e in p:
-        on_path[u] = e
-        u = graph.heads[e]
+    on_path = {graph.tails[e]: e for e in p}
     for u in range(graph.n):
         if u == t:
             continue
@@ -395,17 +375,14 @@ class ReductionResult:
         sigma2 = {}
         g = self.sp_game.graph
         for u, I in sit.removed.items():
-            match = [
-                e
-                for e, key in self.choose_arc.items()
-                if key[0] == u and frozenset(key[1]) == I
-            ]
-            if not match:
+            copy = self.copy_of.get((u, frozenset(I)))
+            if copy is None:
                 raise InputError(
                     f"removal set at vertex {u} is not one of the encoded "
                     "independent sets"
                 )
-            sigma1[u] = match[0]
+            # a copy vertex's only in-arc is its choose arc
+            sigma1[u] = g.inc[copy][0]
         for e, (u, I, orig) in sorted(self.move_arc.items()):
             copy = g.tails[e]
             if copy in sigma2:

@@ -455,6 +455,11 @@ def dumps(obj) -> str:
 # DOT
 
 
+def _dot_id(name: str) -> str:
+    """A name as a quoted DOT identifier, with `\\` and `"` escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(
     game,
     play: Play | None = None,
@@ -464,6 +469,7 @@ def export_dot(
     dashed blue.  Works for plain games (owner shapes) and interdiction
     games (plain circles)."""
     g = game.graph
+    ids = [_dot_id(name) for name in game.names]
     lines = ["digraph game {"]
     owners = getattr(game, "owner", None)
     for u in range(g.n):
@@ -477,7 +483,7 @@ def export_dot(
         elif u == getattr(game, "terminal", None):
             shape = "doublecircle"
         extra = ", style=bold" if u == game.start else ""
-        lines.append(f'  "{game.names[u]}" [shape={shape}{extra}];')
+        lines.append(f"  {ids[u]} [shape={shape}{extra}];")
     play_arcs = set(play.arcs) if play is not None else set()
     strategy_arcs = set()
     if situation is not None:
@@ -495,7 +501,7 @@ def export_dot(
             attrs.append("color=blue")
             attrs.append("style=dashed")
         lines.append(
-            f'  "{game.names[u]}" -> "{game.names[v]}" [{", ".join(attrs)}];'
+            f'  {ids[u]} -> {ids[v]} [{", ".join(attrs)}];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

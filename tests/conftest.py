@@ -18,10 +18,10 @@ def data_dir() -> pathlib.Path:
 def faulty_sweep(monkeypatch):
     """Call with a seed to replace `dijkstra._sweep` by a sweep that
     returns its true output with one fault drawn from `faults`: a finite
-    potential raised by 1 ("raise"), a finite potential made infinite
-    ("to_inf"), an infinite potential made 1 ("from_inf"), or one arc
-    dropped from a removal set ("unblock"); with no usable fault the output
-    stays true."""
+    potential raised by 1 ("raise") or lowered by 1 ("lower"), a finite
+    potential made infinite ("to_inf"), an infinite potential made 1
+    ("from_inf"), or one arc dropped from a removal set ("unblock"); with
+    no usable fault the output stays true."""
 
     def install(seed, faults=("raise", "to_inf", "from_inf")):
         real_sweep, rng = dijkstra._sweep, random.Random(seed)
@@ -42,6 +42,8 @@ def faulty_sweep(monkeypatch):
             fault = rng.choice(usable) if usable else None
             if fault == "raise":
                 phi[rng.choice(finite)] += 1
+            elif fault == "lower":
+                phi[rng.choice(finite)] -= 1
             elif fault == "to_inf":
                 phi[rng.choice(finite)] = INF
             elif fault == "from_inf":

@@ -8,7 +8,6 @@ from spgame.bruteforce import exhaustive_phi
 from spgame.costs import INF
 from spgame.dijkstra import (
     Potentials,
-    dist_from_source,
     dist_to_target,
     interdicted_distances,
     shortest_longest_distances,
@@ -112,16 +111,10 @@ def test_cardinality_zero_is_plain_dijkstra():
         assert list(pot.potential) == dist_to_target(g, n - 1, w)
 
 
-def test_dist_from_source_mirrors_dist_to_target():
-    g = Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
-    w = (F(1), F(1), F(3))
-    assert dist_from_source(g, 0, w) == [0, 1, 2]
-    assert dist_to_target(g, 2, w) == [2, 1, 0]
-
-
 def test_arc_filter_respected():
     g = Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
     w = (F(1), F(1), F(3))
+    assert dist_to_target(g, 2, w) == [2, 1, 0]
     assert dist_to_target(g, 2, w, arc_ok=lambda e: e != 1) == [3, INF, 0]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -404,6 +405,25 @@ def test_normalize_pinned_game_bipartized():
     assert [type(c) for c in out.r1] == [int, F, F, int, int, int, F, F]
     assert vmap == {1: 0, 2: 1, 3: 2, 4: 3}
     assert amap == {1: 0, 2: 1, 3: 3, 4: 4, 5: 5, 6: 6}
+
+
+def test_bipartize_midpoint_name_collision():
+    # vertices already hold the names `s~a#0` and `s~a#0*` that the split
+    # arc 0 from s to a would give its midpoint
+    names = ("s", "a", "s~a#0", "s~a#0*", "t")
+    owner = (PLAYER1, PLAYER1, PLAYER2, PLAYER2, TERMINAL)
+    arcs = [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)]
+    cost = (2, 1, 1, 1, 1)
+    game = SPGame(Digraph.from_arcs(5, arcs), owner, 0, cost, cost, names)
+    out = normalize(game, bipartize=True)
+    assert out.names == names + ("s~a#0**", "s~a#0~s~a#0*#3")
+    from spgame.ne import solve
+
+    text = jsonio.dumps(jsonio.game_to_json(out))
+    back = jsonio.game_from_json(json.loads(text))
+    assert back.names == out.names
+    res = solve(back)
+    assert (res.cost1, res.cost2) == (3, 3)
 
 
 @pytest.mark.parametrize("bipartize", [False, True])

@@ -1,17 +1,20 @@
+import heapq
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from spgame import interdiction
 from spgame.bruteforce import verify_ne_interdiction
-from spgame.costs import INF
+from spgame.costs import INF, is_finite
+from spgame.dijkstra import dist_to_target, interdicted_distances
 from spgame.errors import (
     CapExceeded,
     InputError,
     InternalInvariantError,
     OracleViolation,
 )
-from spgame.game import PLAYER1, PLAYER2, TERMINAL
+from spgame.game import PLAYER1, PLAYER2, TERMINAL, effective_cost
 from spgame.generators import InstanceGenerator
 from spgame.graph import Digraph, min_mean_cycle
 from spgame.independence import (
@@ -117,6 +120,108 @@ def test_cost_of_long_chain_takes_lowest_arcs():
     )
 
 
+def four_pass_cost(game, sit):
+    """Reference: an arc is common when it lies on a shortest (s, t)-path
+    in both metrics, by forward plus backward distance; the path walks the
+    lowest-index common arc into a vertex that still reaches t."""
+    g = game.graph
+    s, t = game.start, game.terminal
+    arcs = playable_arcs(game, sit)
+
+    def forward(weights):
+        dist = [INF] * g.n
+        dist[s] = 0
+        heap = [(0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for e in g.out[u]:
+                v = g.heads[e]
+                if e in arcs and d + weights[e] < dist[v]:
+                    dist[v] = d + weights[e]
+                    heapq.heappush(heap, (dist[v], v))
+        return dist
+
+    back = [
+        dist_to_target(g, t, w, arc_ok=arcs.__contains__)
+        for w in (game.r1, game.r2)
+    ]
+    if not is_finite(back[0][s]):
+        return INF, INF, None
+    fwd = [forward(game.r1), forward(game.r2)]
+    common = {
+        e
+        for e in arcs
+        if all(
+            is_finite(f[g.tails[e]])
+            and is_finite(b[g.heads[e]])
+            and f[g.tails[e]] + w[e] + b[g.heads[e]] == b[s]
+            for f, b, w in zip(fwd, back, (game.r1, game.r2))
+        )
+    }
+    reach, stack = {t}, [t]
+    while stack:
+        for e in g.inc[stack.pop()]:
+            if e in common and g.tails[e] not in reach:
+                reach.add(g.tails[e])
+                stack.append(g.tails[e])
+    if s not in reach:
+        return INF, INF, None
+    path, u = [], s
+    while u != t:
+        e = min(x for x in g.out[u] if x in common and g.heads[x] in reach)
+        path.append(e)
+        u = g.heads[e]
+    return (
+        effective_cost(path, game.r1),
+        effective_cost(path, game.r2),
+        tuple(path),
+    )
+
+
+def random_situations(seed, games):
+    """Arbitrary removal and offer draws per vertex, mostly inadmissible;
+    every other game has costs in 1-2, so shortest paths tie often."""
+    gen = InstanceGenerator(seed=seed)
+    rng = random.Random(seed)
+    for i in range(games):
+        tied = i % 2 == 1
+        game = gen.interdiction_game(
+            max_vertices=7,
+            max_ground=16,
+            cost_range=(1, 2) if tied else (1, 10),
+        )
+        g = game.graph
+        inner = [u for u in range(g.n) if u != game.terminal]
+        for _ in range(5):
+            draw = [
+                {
+                    u: frozenset(e for e in g.out[u] if rng.random() < q)
+                    for u in inner
+                }
+                for q in (0.25, 0.8)
+            ]
+            yield tied, game, InterdictionSituation(*draw)
+
+
+def test_cost_matches_four_pass_reference():
+    # 480 games x 5 draws = 2,400 situations
+    found = {"inadmissible": 0, "common": 0, "tied_common": 0}
+    for tied, game, sit in random_situations(seed=4242, games=480):
+        got = interdiction_cost(game, sit)
+        assert got == four_pass_cost(game, sit)
+        try:
+            validate_interdiction_situation(game, sit)
+        except InputError:
+            found["inadmissible"] += 1
+        if got[2] is not None:
+            found["common"] += 1
+            found["tied_common"] += tied
+    assert found["inadmissible"] >= 1500, found
+    assert found["common"] >= 600 and found["tied_common"] >= 300, found
+
+
 def test_situation_validation():
     game = two_hop()
     validate_interdiction_situation(
@@ -212,6 +317,28 @@ def test_solve_battery_verified():
             branches["cyclic"] += 1
         assert verify_ne_interdiction(game, res.situation).is_ne
     assert branches["primal"] > 0 and branches["cyclic"] > 0
+
+
+def test_int_budget_games_need_no_fraction_arithmetic(monkeypatch):
+    # all-int removal costs and budgets keep every sum an int: the oracle
+    # checks, dual(), verify_potentials and the situation check
+    games = [
+        InstanceGenerator(seed=i).interdiction_game(
+            max_vertices=6, kinds=("budget",)
+        )
+        for i in range(50)
+    ]
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction arithmetic on an all-int game")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(F, op, no_fraction)
+    for game in games:
+        solve_interdiction(game)
+        interdicted_distances(
+            game.graph, game.terminal, game.r1, game.oracle.dual(), check=True
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from spgame.errors import InputError
-from spgame.game import PLAYER1
+from spgame.game import PLAYER1, PLAYER2, TERMINAL, SPGame
+from spgame.graph import Digraph
 from spgame.independence import CardinalityRule
 from spgame.interdiction import InterdictionGame
 from spgame.jsonio import (
@@ -175,3 +177,18 @@ def test_export_dot_markers():
     assert "doublecircle" in dot  # terminal vertex
     assert "penwidth=2" in dot or res.play.arcs == ()
     assert dot.count("->") == game.graph.m
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    names = ('a"b', "c\\d", 'e\\"')
+    g = Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
+    game = SPGame(g, (PLAYER1, PLAYER2, TERMINAL), 0, (1, 1, 3), (1, 1, 3), names)
+    dot = export_dot(game)
+    # a DOT quoted string: no bare `"` inside, `\` escapes one character
+    ident = r'"(?:[^"\\]|\\.)*"'
+    line = re.compile(rf"  {ident}( -> {ident})? \[[^\]]*\];")
+    body = dot.splitlines()[1:-1]
+    assert len(body) == 6 and all(line.fullmatch(x) for x in body), dot
+    assert body[0].startswith('  "a\\"b" ')
+    assert body[1].startswith('  "c\\\\d" ')
+    assert body[5].startswith('  "a\\"b" -> "e\\\\\\"" ')

@@ -9,6 +9,7 @@ from spgame.dijkstra import shortest_longest_distances
 from spgame.errors import (
     BlockerExists,
     InternalInvariantError,
+    OracleViolation,
     PreconditionViolated,
     WeakPlayerCanForce,
 )
@@ -176,6 +177,30 @@ def test_aligned_pipeline_battery():
         res = ne_from_zero_reduced_costs(game, red1, red2)
         assert res.kind == "terminal"
         assert verify_ne(game, res.situation).is_ne
+
+
+def test_aligned_maps_rest_on_verified_sweeps(faulty_sweep):
+    # with no alignment check of its own, a wrong potential must either be
+    # caught by verify_potentials or still give aligned maps
+    gen = InstanceGenerator(seed=203)
+    games = [
+        gen.sp_game(max_vertices=7, require="aligned") for _ in range(100)
+    ]
+    faulty_sweep(6, ("raise", "lower", "to_inf"))
+    rejected = 0
+    for game in games:
+        try:
+            red1, red2, _, _ = aligned_reduced_costs(game)
+        except (InternalInvariantError, OracleViolation):
+            rejected += 1
+            continue
+        for u in range(game.graph.n):
+            if game.owner[u] == TERMINAL:
+                continue
+            for player, red in ((PLAYER1, red1), (PLAYER2, red2)):
+                vals = [red[e] for e in game.graph.out[u]]
+                assert (min if game.owner[u] == player else max)(vals) == 0
+    assert rejected, rejected
 
 
 def test_aligned_rejects_blockable_games():
