@@ -1,11 +1,12 @@
 """Exact cost arithmetic.
 
 Integral costs are plain `int`, from the file on; only truly fractional
-costs are `fractions.Fraction`.  `solve` works on each metric's integer
-image (`integer_image`: every cost times the LCM of the metric's
-denominators) and divides back only on output, so its sweeps compare and
-add ints.  The only non-rational value ever used is `INF`, which absorbs
-addition and dominates comparison exactly as IEEE infinity does.
+costs are `fractions.Fraction`.  `solve` and `shortest_longest_distances`
+work on each metric's integer image (`integer_image`: every cost times
+the LCM of the metric's denominators) and divide back only on output, so
+their sweeps compare and add ints.  The only non-rational value ever
+used is `INF`, which absorbs addition and dominates comparison exactly as
+IEEE infinity does.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ def integer_image(weights: Sequence) -> tuple[int, tuple[int, ...]]:
 def cost_to_json(c: Cost):
     """Render a cost for JSON output: ints as ints, other rationals as
     "p/q" strings, infinity as "inf"."""
+    if type(c) is int:
+        return c
     if c == INF:
         return "inf"
     f = Fraction(c)

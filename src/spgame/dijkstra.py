@@ -21,10 +21,11 @@ deterministic.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable, Sequence
 
-from .costs import INF, Cost, is_finite
+from .costs import INF, Cost, integer_image, is_finite
 from .errors import InputError, InternalInvariantError, OracleViolation
 from .graph import Digraph
 from .independence import IndependenceOracle, sp_blocking_oracle
@@ -184,14 +185,27 @@ def verify_potentials(graph, t, weights, oracle, pot: Potentials) -> None:
 
 def shortest_longest_distances(game, player: int) -> Potentials:
     """Worst-case shortest distances for `player`'s own costs: the player
-    picks arcs at their vertices, the opponent forces arcs at theirs."""
+    picks arcs at their vertices, the opponent forces arcs at theirs.
+
+    The sweep and `verify_potentials` run on the metric's integer image
+    (`integer_image`), which has the same heap order, ties and removal
+    sets; finite potentials are divided back by its scale."""
     from .game import opponent
 
-    return interdicted_distances(
+    scale, weights = integer_image(game.cost(player))
+    pot = interdicted_distances(
         game.graph,
         game.terminal,
-        game.cost(player),
+        weights,
         sp_blocking_oracle(game, opponent(player)),
+    )
+    if scale == 1:
+        return pot
+    return replace(
+        pot,
+        potential=tuple(
+            [Fraction(p, scale) if is_finite(p) else p for p in pot.potential]
+        ),
     )
 
 

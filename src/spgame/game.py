@@ -331,14 +331,14 @@ def normalize_with_maps(game: SPGame, bipartize: bool = False):
     new_owner = [owner[u] for u in vmap]
     new_names = [names[u] for u in vmap]
     taken = set(new_names) if bipartize else None  # names midpoints avoid
-    pairs = []
+    tails, heads = [], []
     r1, r2 = [], []
     amap = {}
     for e, (u, v, c1, c2) in enumerate(zip(g.tails, g.heads, game.r1, game.r2)):
         a, b = index[u], index[v]
         if a < 0:
             continue
-        amap[e] = len(pairs)
+        amap[e] = len(tails)
         # tails are never terminals, so equal owners mean one player moves twice
         if bipartize and new_owner[a] == new_owner[b]:
             mid = len(new_owner)
@@ -350,15 +350,17 @@ def normalize_with_maps(game: SPGame, bipartize: bool = False):
             taken.add(mname)
             new_names.append(mname)
             half1, half2 = Fraction(c1, 2), Fraction(c2, 2)
-            pairs += ((a, mid), (mid, b))
+            tails += (a, mid)
+            heads += (mid, b)
             r1 += (half1, half1)
             r2 += (half2, half2)
         else:
-            pairs.append((a, b))
+            tails.append(a)
+            heads.append(b)
             r1.append(c1)
             r2.append(c2)
     out = SPGame(
-        Digraph.from_arcs(len(new_owner), pairs),
+        Digraph.from_columns(len(new_owner), tails, heads),
         tuple(new_owner),
         vmap[game.start],
         tuple(r1),

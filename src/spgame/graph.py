@@ -25,23 +25,37 @@ class Digraph:
 
     @staticmethod
     def from_arcs(n: int, pairs: Iterable[tuple[int, int]]) -> "Digraph":
-        tails = []
-        heads = []
+        pairs = list(pairs)
+        return Digraph.from_columns(n, [u for u, _ in pairs], [v for _, v in pairs])
+
+    @staticmethod
+    def from_columns(n: int, tails: Sequence[int], heads: Sequence[int]) -> "Digraph":
+        """The digraph whose arc `e` runs from `tails[e]` to `heads[e]`;
+        the one place that builds the adjacency lists."""
+        tails, heads = tuple(tails), tuple(heads)
+        if len(tails) != len(heads):
+            raise InputError("tail and head columns differ in length")
+        if tails and (
+            min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n
+        ):
+            e = next(
+                e
+                for e, (u, v) in enumerate(zip(tails, heads))
+                if not (0 <= u < n and 0 <= v < n)
+            )
+            raise InputError(f"arc {e}: endpoint out of range")
         out: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(pairs):
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"arc {e}: endpoint out of range")
-            tails.append(u)
-            heads.append(v)
+        # one loop, so `out` and `inc` share each arc's index object
+        for e, (u, v) in enumerate(zip(tails, heads)):
             out[u].append(e)
             inc[v].append(e)
         return Digraph(
             n,
-            tuple(tails),
-            tuple(heads),
-            tuple(tuple(a) for a in out),
-            tuple(tuple(a) for a in inc),
+            tails,
+            heads,
+            tuple([tuple(a) for a in out]),
+            tuple([tuple(a) for a in inc]),
         )
 
     @property

@@ -86,8 +86,9 @@ class IndependenceOracle:
     def __init__(self, graph: Digraph, rules: Mapping[int, object]):
         self.graph = graph
         self.rules = dict(rules)
+        self._ground = [frozenset(arcs) for arcs in graph.out]
         for u, rule in self.rules.items():
-            ground = frozenset(graph.out[u])
+            ground = self._ground[u]
             if not rule.independent(frozenset()):
                 raise InputError(f"empty set dependent at vertex {u}")
             if ground and rule.independent(ground):
@@ -99,7 +100,7 @@ class IndependenceOracle:
                 raise InputError(f"vertex {u} has outgoing arcs but no rule")
 
     def ground(self, u: int) -> frozenset:
-        return frozenset(self.graph.out[u])
+        return self._ground[u]
 
     def is_independent(self, u: int, arcs) -> bool:
         arcs = frozenset(arcs)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Mapping
 
-from .costs import Cost, cost_to_json, parse_cost
+from .costs import INF, Cost, cost_to_json, parse_cost
 from .dijkstra import Potentials
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 from .game import PLAYER1, PLAYER2, TERMINAL, Play, SPGame, Situation
 from .graph import Digraph
 from .independence import (
@@ -36,15 +37,23 @@ _OWNER_TO_JSON = {PLAYER1: "P1", PLAYER2: "P2", TERMINAL: "T"}
 _OWNER_FROM_JSON = {v: k for k, v in _OWNER_TO_JSON.items()}
 
 
-def _json_int(value, where: str) -> int:
+def _as_int(value) -> int | None:
     """An integer written as a JSON integer or a string of one (object keys
-    are strings); anything else is an InputError naming `where`."""
+    are strings), else None."""
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
         except ValueError:
             pass
-    raise InputError(f"{where} needs integers, got {value!r}")
+    return None
+
+
+def _json_int(value, where: str) -> int:
+    """`_as_int(value)`; anything else is an InputError naming `where`."""
+    i = _as_int(value)
+    if i is None:
+        raise InputError(f"{where} needs integers, got {value!r}")
+    return i
 
 
 def _vertex_table(obj) -> tuple[list[str], dict[str, int]]:
@@ -63,25 +72,59 @@ def _vertex_table(obj) -> tuple[list[str], dict[str, int]]:
     return names, index
 
 
-def _arc_table(obj, index) -> tuple[list[tuple[int, int]], list[Cost], list[Cost]]:
-    pairs = []
-    r1 = []
-    r2 = []
-    # each distinct cost string is parsed once; only strings are memoized,
-    # since True and 1.0 hash like 1 and must still be rejected
-    parsed: dict[str, Cost] = {}
+def _vertex_index(index, value) -> int | None:
+    """The index of the vertex a `start`, `terminal` or oracle `vertex`
+    field names; None when the field is missing, null or unknown."""
+    return None if value is None else index.get(str(value))
 
-    def cost(value) -> Cost:
-        if type(value) is not str:
-            return parse_cost(value)
-        c = parsed.get(value)
-        if c is None:
-            c = parsed[value] = parse_cost(value)
-        return c
 
+def _arc_table(obj, index) -> tuple[list[int], list[int], list[Cost], list[Cost]]:
+    """The arc rows as four columns: tails, heads, r1 and r2.  Each check
+    runs over a whole column; only when one fails are the rows walked one
+    by one, to raise the error of the first bad row."""
     arcs = obj.get("arcs", [])
     if not isinstance(arcs, list):
         raise InputError("arcs: expected a list of arc objects")
+    columns = _arc_columns(arcs, index)
+    if columns is None:
+        _arc_rows_error(arcs, index)
+        raise InternalInvariantError("bulk arc checks refused a valid file")
+    return columns
+
+
+def _arc_columns(arcs, index):
+    """`_arc_table`'s columns, or None if a bulk check fails."""
+    if not all(isinstance(row, dict) for row in arcs):
+        return None
+    ids = [row.get("id", pos) for pos, row in enumerate(arcs)]
+    # exact ints at their positions; ids written as strings take the
+    # per-value test
+    if not set(map(type, ids)) <= {int} or ids != list(range(len(ids))):
+        if not all(_as_int(i) == pos for pos, i in enumerate(ids)):
+            return None
+    try:
+        tails = [index[str(row["tail"])] for row in arcs]
+        heads = [index[str(row["head"])] for row in arcs]
+        r1 = [row["r1"] for row in arcs]
+        r2 = [row["r2"] for row in arcs]
+    except KeyError:
+        return None
+    # the type of every value, not of a set of the values: {1, True} keeps
+    # only 1, and parse_cost must see True to reject it
+    if not set(map(type, r1)) | set(map(type, r2)) <= {int, str}:
+        return None
+    # ints and strings never compare equal, so each distinct string is
+    # parsed once
+    try:
+        parsed = {c: c if type(c) is int else parse_cost(c) for c in {*r1, *r2}}
+    except InputError:
+        return None
+    cost = parsed.__getitem__
+    return tails, heads, list(map(cost, r1)), list(map(cost, r2))
+
+
+def _arc_rows_error(arcs, index) -> None:
+    """Raise the InputError of the first arc row that fails a check."""
     for pos, row in enumerate(arcs):
         if not isinstance(row, dict):
             raise InputError(f"arcs[{pos}]: expected an arc object")
@@ -91,15 +134,13 @@ def _arc_table(obj, index) -> tuple[list[tuple[int, int]], list[Cost], list[Cost
                 f"{row['id']!r})"
             )
         try:
-            pairs.append((index[str(row["tail"])], index[str(row["head"])]))
+            index[str(row["tail"])], index[str(row["head"])]
         except KeyError as exc:
             raise InputError(f"arc {pos}: unknown endpoint {exc}") from exc
         try:
-            r1.append(cost(row["r1"]))
-            r2.append(cost(row["r2"]))
+            parse_cost(row["r1"]), parse_cost(row["r2"])
         except (KeyError, InputError) as exc:
             raise InputError(f"arc {pos}: bad cost ({exc})") from exc
-    return pairs, r1, r2
 
 
 def game_from_json(obj: Mapping) -> SPGame:
@@ -110,13 +151,14 @@ def game_from_json(obj: Mapping) -> SPGame:
         if not isinstance(o, str) or o not in _OWNER_FROM_JSON:
             raise InputError(f"vertices[{pos}].owner: must be P1, P2 or T, got {o!r}")
         owner.append(_OWNER_FROM_JSON[o])
-    pairs, r1, r2 = _arc_table(obj, index)
-    if str(obj.get("start")) not in index:
+    tails, heads, r1, r2 = _arc_table(obj, index)
+    start = _vertex_index(index, obj.get("start"))
+    if start is None:
         raise InputError("missing or unknown start vertex")
     return SPGame(
-        Digraph.from_arcs(len(names), pairs),
+        Digraph.from_columns(len(names), tails, heads),
         tuple(owner),
-        index[str(obj["start"])],
+        start,
         tuple(r1),
         tuple(r2),
         tuple(names),
@@ -150,6 +192,10 @@ def _rule_field(row, name):
 
 
 def _rule_int(row, name, value) -> int:
+    i = _as_int(value)
+    if i is not None:
+        return i
+    # the message is formatted only for a bad value
     return _json_int(value, f"vertex {row['vertex']!r}: field {name!r}")
 
 
@@ -177,9 +223,10 @@ def _rule_from_json(row, graph, u) -> object:
             raise InputError(
                 f"vertex {row['vertex']!r}: field 'costs' must map arc ids to costs"
             )
-        costs = {}
-        for key, val in table.items():
-            costs[_rule_int(row, "costs", key)] = _rule_cost(row, "costs", val)
+        costs = {
+            _rule_int(row, "costs", key): _rule_cost(row, "costs", val)
+            for key, val in table.items()
+        }
         missing = [e for e in graph.out[u] if e not in costs]
         if missing:
             raise InputError(
@@ -221,10 +268,12 @@ def _rule_from_json(row, graph, u) -> object:
 
 def interdiction_from_json(obj: Mapping) -> InterdictionGame:
     names, index = _vertex_table(obj)
-    pairs, r1, r2 = _arc_table(obj, index)
-    graph = Digraph.from_arcs(len(names), pairs)
+    tails, heads, r1, r2 = _arc_table(obj, index)
+    graph = Digraph.from_columns(len(names), tails, heads)
+    ends = {}
     for key in ("start", "terminal"):
-        if str(obj.get(key)) not in index:
+        ends[key] = _vertex_index(index, obj.get(key))
+        if ends[key] is None:
             raise InputError(f"missing or unknown {key} vertex")
     rows = obj.get("oracles", [])
     if not isinstance(rows, list):
@@ -233,18 +282,19 @@ def interdiction_from_json(obj: Mapping) -> InterdictionGame:
     for pos, row in enumerate(rows):
         if not isinstance(row, dict):
             raise InputError(f"oracles[{pos}]: expected an oracle object")
-        vid = str(row.get("vertex"))
-        if vid not in index:
-            raise InputError(f"oracle spec for unknown vertex {vid!r}")
-        u = index[vid]
+        u = _vertex_index(index, row.get("vertex"))
+        if u is None:
+            raise InputError(
+                f"oracle spec for unknown vertex {str(row.get('vertex'))!r}"
+            )
         if u in rules:
-            raise InputError(f"duplicate oracle spec for vertex {vid!r}")
+            raise InputError(f"duplicate oracle spec for vertex {names[u]!r}")
         rules[u] = _rule_from_json(row, graph, u)
     oracle = IndependenceOracle(graph, rules)
     return InterdictionGame(
         graph,
-        index[str(obj["start"])],
-        index[str(obj["terminal"])],
+        ends["start"],
+        ends["terminal"],
         tuple(r1),
         tuple(r2),
         oracle,
@@ -447,8 +497,71 @@ def potentials_to_json(names, pot: Potentials) -> dict:
     }
 
 
+def _encode(value, indent: str) -> str:
+    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it,
+    with `indent` the newline and spaces before the value's line.  A value
+    or key of another type is a TypeError."""
+    t = type(value)
+    if t is str:
+        return _encode_str(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return (
+            "{"
+            + inner
+            + ("," + inner).join(
+                [
+                    _encode_str(k) + ": " + _encode(value[k], inner)
+                    for k in sorted(value)
+                ]
+            )
+            + indent
+            + "}"
+        )
+    if t is list or t is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            body = ("," + inner).join(map(int.__repr__, value))
+        else:
+            body = ("," + inner).join([_encode(v, inner) for v in value])
+        return "[" + inner + body + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if t is float:
+        if value != value:
+            return "NaN"
+        if value == INF:
+            return "Infinity"
+        if value == -INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"{t.__name__} is not written directly")
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte.
+    With an indent, `json` runs its pure-Python encoder, which walks the
+    document one generator step per token; this writer builds each
+    container with one join.  It writes str, int, float, bool, None and
+    lists, tuples and str-keyed dicts of them.  Any other value or key
+    (TypeError), an int too long for `str` (ValueError) or a cycle
+    (RecursionError) hands the whole document to `json.dumps`, which
+    writes it or raises its own error."""
+    try:
+        text = _encode(obj, "\n")
+    except (TypeError, ValueError, RecursionError):
+        text = json.dumps(obj, indent=2, sort_keys=True)
+    return text + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,19 @@ def test_plain_commands_skip_cycle_checks(capsys, monkeypatch, chain):
     assert run(capsys, "phi", chain, "--player", "1")[0] == 0
 
 
+def with_none_vertex(obj):
+    """Add a vertex named `None`, with an arc to `t` in a plain game, so a
+    missing or null vertex field must not be read as its name."""
+    if "oracles" in obj:
+        obj["vertices"].append({"id": "None"})
+    else:
+        obj["vertices"].append({"id": "None", "owner": "P1"})
+        obj["arcs"].append(
+            {"id": len(obj["arcs"]), "tail": "None", "head": "t", "r1": 1, "r2": 1}
+        )
+    return obj
+
+
 @pytest.mark.parametrize(
     "game, mutate, field",
     [
@@ -102,6 +115,31 @@ def test_plain_commands_skip_cycle_checks(capsys, monkeypatch, chain):
             lambda obj: obj["vertices"][0].__setitem__("owner", []),
             "vertices[0].owner",
         ),
+        (
+            "chain",
+            lambda obj: with_none_vertex(obj).pop("start"),
+            "missing or unknown start vertex",
+        ),
+        (
+            "chain",
+            lambda obj: with_none_vertex(obj).__setitem__("start", None),
+            "missing or unknown start vertex",
+        ),
+        (
+            "interdict",
+            lambda obj: with_none_vertex(obj).pop("terminal"),
+            "missing or unknown terminal vertex",
+        ),
+        (
+            "interdict",
+            lambda obj: with_none_vertex(obj)["oracles"][0].pop("vertex"),
+            "oracle spec for unknown vertex",
+        ),
+        (
+            "interdict",
+            lambda obj: with_none_vertex(obj)["oracles"][0].__setitem__("vertex", None),
+            "oracle spec for unknown vertex",
+        ),
     ],
     ids=[
         "vertex-no-id",
@@ -112,6 +150,11 @@ def test_plain_commands_skip_cycle_checks(capsys, monkeypatch, chain):
         "oracles-null",
         "oracle-not-object",
         "owner-unhashable",
+        "start-missing-beside-None",
+        "start-null-beside-None",
+        "terminal-missing-beside-None",
+        "oracle-vertex-missing-beside-None",
+        "oracle-vertex-null-beside-None",
     ],
 )
 def test_malformed_game_is_input_error(

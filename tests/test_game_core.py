@@ -430,17 +430,17 @@ def test_bipartize_midpoint_name_collision():
 def test_normalize_builds_one_graph_and_one_game(monkeypatch, bipartize):
     game = pinned_raw_game()
     built = []
-    from_arcs, post_init = Digraph.from_arcs, SPGame.__post_init__
+    from_columns, post_init = Digraph.from_columns, SPGame.__post_init__
 
-    def spy_from_arcs(n, pairs):
+    def spy_from_columns(n, tails, heads):
         built.append("graph")
-        return from_arcs(n, pairs)
+        return from_columns(n, tails, heads)
 
     def spy_post_init(self):
         built.append("game")
         post_init(self)
 
-    monkeypatch.setattr(Digraph, "from_arcs", staticmethod(spy_from_arcs))
+    monkeypatch.setattr(Digraph, "from_columns", staticmethod(spy_from_columns))
     monkeypatch.setattr(SPGame, "__post_init__", spy_post_init)
     normalize(game, bipartize=bipartize)
     assert sorted(built) == ["game", "graph"]

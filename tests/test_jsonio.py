@@ -1,9 +1,12 @@
 import json
+import random
 import re
 from fractions import Fraction as F
 
 import pytest
 
+from spgame import jsonio
+from spgame.costs import parse_cost
 from spgame.errors import InputError
 from spgame.game import PLAYER1, PLAYER2, TERMINAL, SPGame
 from spgame.graph import Digraph
@@ -192,3 +195,122 @@ def test_export_dot_escapes_quotes_and_backslashes():
     assert body[0].startswith('  "a\\"b" ')
     assert body[1].startswith('  "c\\\\d" ')
     assert body[5].startswith('  "a\\"b" -> "e\\\\\\"" ')
+
+
+def reference_arc_table(obj, index):
+    """The row-by-row arc loader `jsonio._arc_table` replaced, kept as the
+    reference for its columns and its errors."""
+    pairs = []
+    r1 = []
+    r2 = []
+    parsed = {}
+
+    def cost(value):
+        if type(value) is not str:
+            return parse_cost(value)
+        c = parsed.get(value)
+        if c is None:
+            c = parsed[value] = parse_cost(value)
+        return c
+
+    arcs = obj.get("arcs", [])
+    if not isinstance(arcs, list):
+        raise InputError("arcs: expected a list of arc objects")
+    for pos, row in enumerate(arcs):
+        if not isinstance(row, dict):
+            raise InputError(f"arcs[{pos}]: expected an arc object")
+        if "id" in row and jsonio._json_int(row["id"], f"arcs[{pos}].id") != pos:
+            raise InputError(
+                f"arc ids must match list positions (arc {pos} has id "
+                f"{row['id']!r})"
+            )
+        try:
+            pairs.append((index[str(row["tail"])], index[str(row["head"])]))
+        except KeyError as exc:
+            raise InputError(f"arc {pos}: unknown endpoint {exc}") from exc
+        try:
+            r1.append(cost(row["r1"]))
+            r2.append(cost(row["r2"]))
+        except (KeyError, InputError) as exc:
+            raise InputError(f"arc {pos}: bad cost ({exc})") from exc
+    return pairs, r1, r2
+
+
+def spelled_cost(rng, spelling):
+    """A positive cost as an int, a decimal string or a fraction string;
+    the strings are sometimes integral ("7.0", "14/2")."""
+    if spelling == "int":
+        return rng.randint(1, 9)
+    q = rng.choice([1, 2, 4, 5])
+    p = rng.randint(1, 40)
+    if spelling == "decimal":
+        return f"{p / q}"
+    return f"{p}/{q}"
+
+
+def random_arc_rows(rng, spellings):
+    n = rng.randint(1, 8)
+    names = [f"v{u}" for u in range(n)]
+    rows = []
+    for e in range(rng.randint(0, 25)):
+        row = {
+            "tail": rng.choice(names),
+            "head": rng.choice(names),
+            "r1": spelled_cost(rng, rng.choice(spellings)),
+            "r2": spelled_cost(rng, rng.choice(spellings)),
+        }
+        ids = rng.random()
+        if ids < 0.8:
+            row["id"] = e
+        elif ids < 0.9:
+            row["id"] = str(e)
+        rows.append(row)
+    return {"arcs": rows}, {name: u for u, name in enumerate(names)}
+
+
+@pytest.mark.parametrize(
+    "spellings", [("int",), ("decimal",), ("fraction",), ("int", "decimal", "fraction")]
+)
+def test_bulk_arc_table_matches_row_by_row_loader(spellings):
+    rng = random.Random(f"arc-table:{spellings}")
+    for _ in range(200):
+        obj, index = random_arc_rows(rng, spellings)
+        pairs, r1, r2 = reference_arc_table(obj, index)
+        tails, heads, b1, b2 = jsonio._arc_table(obj, index)
+        n = len(index)
+        assert Digraph.from_columns(n, tails, heads) == Digraph.from_arcs(n, pairs)
+        assert (b1, b2) == (r1, r2)
+        assert [type(c) for c in b1 + b2] == [type(c) for c in r1 + r2]
+
+
+BAD_ARC_VALUES = [None, True, False, 1.0, -1.5, "x", "1/0", "", [], {}, "v0", 0, 3, "3"]
+
+
+def test_bulk_arc_table_raises_the_row_by_row_error():
+    rng = random.Random("arc-table-errors")
+    for _ in range(500):
+        obj, index = random_arc_rows(rng, ("int", "decimal", "fraction"))
+        rows = obj["arcs"]
+        for _ in range(rng.randint(1, 3)):
+            objects = [pos for pos, row in enumerate(rows) if isinstance(row, dict)]
+            if not objects:
+                break
+            pos = rng.choice(objects)
+            field = rng.choice(["id", "tail", "head", "r1", "r2"])
+            action = rng.random()
+            if action < 0.1:
+                rows[pos] = rng.choice(BAD_ARC_VALUES)
+            elif action < 0.3:
+                rows[pos].pop(field, None)
+            else:
+                rows[pos][field] = rng.choice(BAD_ARC_VALUES)
+        try:
+            expected = reference_arc_table(obj, index)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                jsonio._arc_table(obj, index)
+            assert str(got.value) == str(exc)
+        else:
+            tails, heads, r1, r2 = jsonio._arc_table(obj, index)
+            assert list(zip(tails, heads)) == expected[0]
+            assert (r1, r2) == (expected[1], expected[2])
