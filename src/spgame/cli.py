@@ -14,6 +14,7 @@ import sys
 import time
 
 from . import bruteforce, jsonio
+from ._gc import paused
 from .dijkstra import interdicted_distances, shortest_longest_distances
 from .errors import (
     CapExceeded,
@@ -338,6 +339,7 @@ _EXIT_CODES = (
 )
 
 
+@paused
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
+from ._gc import paused
 from .costs import INF, Cost
 from .errors import InputError, NoTerminalPath
 from .graph import Digraph, min_mean_cycle, reachable_from, reaches
@@ -293,6 +294,7 @@ def validate(game: SPGame) -> ValidationReport:
 # normalization
 
 
+@paused
 def normalize_with_maps(game: SPGame, bipartize: bool = False):
     """Like `normalize` but also returns the vertex and arc index maps
     from the input game to the result.  `vmap` has an entry for every

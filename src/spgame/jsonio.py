@@ -14,6 +14,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Mapping
 
+from ._gc import paused
 from .costs import INF, Cost, cost_to_json, parse_cost
 from .dijkstra import Potentials
 from .errors import InputError, InternalInvariantError
@@ -62,7 +63,8 @@ def _vertex_table(obj) -> tuple[list[str], dict[str, int]]:
     names = []
     index: dict[str, int] = {}
     for pos, row in enumerate(obj["vertices"]):
-        if not isinstance(row, dict) or "id" not in row:
+        # a null id is no id: str(None) would name the vertex "None"
+        if not isinstance(row, dict) or row.get("id") is None:
             raise InputError(f"vertices[{pos}].id: each vertex needs an id")
         vid = str(row["id"])
         if vid in index:
@@ -103,10 +105,15 @@ def _arc_columns(arcs, index):
         if not all(_as_int(i) == pos for pos, i in enumerate(ids)):
             return None
     try:
-        tails = [index[str(row["tail"])] for row in arcs]
-        heads = [index[str(row["head"])] for row in arcs]
+        tails = [row["tail"] for row in arcs]
+        heads = [row["head"] for row in arcs]
         r1 = [row["r1"] for row in arcs]
         r2 = [row["r2"] for row in arcs]
+        # tested before str(), which would read null as the vertex "None"
+        if None in tails or None in heads:
+            return None
+        tails = [index[str(v)] for v in tails]
+        heads = [index[str(v)] for v in heads]
     except KeyError:
         return None
     # the type of every value, not of a set of the values: {1, True} keeps
@@ -134,7 +141,10 @@ def _arc_rows_error(arcs, index) -> None:
                 f"{row['id']!r})"
             )
         try:
-            index[str(row["tail"])], index[str(row["head"])]
+            for end in ("tail", "head"):
+                if row[end] is None:
+                    raise InputError(f"arc {pos}: {end} is null")
+                index[str(row[end])]
         except KeyError as exc:
             raise InputError(f"arc {pos}: unknown endpoint {exc}") from exc
         try:
@@ -347,6 +357,7 @@ def interdiction_to_json(game: InterdictionGame) -> dict:
     }
 
 
+@paused
 def load_any(obj: Mapping):
     """Dispatch on file shape: oracle specs mean an interdiction game."""
     if "oracles" in obj:
@@ -366,6 +377,7 @@ def load_object(path: str) -> dict:
     return obj
 
 
+@paused
 def load_path(path: str):
     return load_any(load_object(path))
 
@@ -430,6 +442,7 @@ def play_to_json(game: SPGame, play: Play) -> dict:
     }
 
 
+@paused
 def ne_result_to_json(game: SPGame, res: NEResult, certificate: bool = False) -> dict:
     out = {
         "kind": res.kind,
@@ -469,6 +482,7 @@ def interdiction_situation_from_json(
     )
 
 
+@paused
 def interdiction_result_to_json(
     game: InterdictionGame, res: InterdictionNEResult, certificate: bool = False
 ) -> dict:
@@ -483,6 +497,7 @@ def interdiction_result_to_json(
     return out
 
 
+@paused
 def potentials_to_json(names, pot: Potentials) -> dict:
     return {
         "phi": {
@@ -548,6 +563,7 @@ def _encode(value, indent: str) -> str:
     raise TypeError(f"{t.__name__} is not written directly")
 
 
+@paused
 def dumps(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte.
     With an indent, `json` runs its pure-Python encoder, which walks the

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._gc import paused
 from .costs import Cost, integer_image, is_finite
 from .dijkstra import (
     Potentials,
@@ -403,6 +404,7 @@ def terminal_ne_against_forcer(
     return _certified(game, sit, cert, {weak_player: wdist[s]})
 
 
+@paused
 def solve(game: SPGame) -> NEResult:
     """Nash equilibrium of a normalized positive game: a terminal one when
     some player cannot force infinite cost, else the cyclic pair of

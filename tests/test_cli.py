@@ -100,6 +100,17 @@ def with_none_vertex(obj):
     return obj
 
 
+def null_vertex_id(obj):
+    """Make the id of vertex `a` null and name it `"None"` in its arcs, so
+    a loader reading null as the name `None` accepts the file."""
+    obj["vertices"][1]["id"] = None
+    for arc in obj["arcs"]:
+        for end in ("tail", "head"):
+            if arc[end] == "a":
+                arc[end] = "None"
+    return obj
+
+
 @pytest.mark.parametrize(
     "game, mutate, field",
     [
@@ -140,6 +151,17 @@ def with_none_vertex(obj):
             lambda obj: with_none_vertex(obj)["oracles"][0].__setitem__("vertex", None),
             "oracle spec for unknown vertex",
         ),
+        ("chain", null_vertex_id, "vertices[1].id"),
+        (
+            "chain",
+            lambda obj: with_none_vertex(obj)["arcs"][6].__setitem__("tail", None),
+            "arc 6: tail is null",
+        ),
+        (
+            "chain",
+            lambda obj: with_none_vertex(obj)["arcs"][5].__setitem__("head", None),
+            "arc 5: head is null",
+        ),
     ],
     ids=[
         "vertex-no-id",
@@ -155,6 +177,9 @@ def with_none_vertex(obj):
         "terminal-missing-beside-None",
         "oracle-vertex-missing-beside-None",
         "oracle-vertex-null-beside-None",
+        "vertex-id-null",
+        "tail-null-beside-None",
+        "head-null-beside-None",
     ],
 )
 def test_malformed_game_is_input_error(

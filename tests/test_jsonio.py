@@ -225,7 +225,12 @@ def reference_arc_table(obj, index):
                 f"{row['id']!r})"
             )
         try:
-            pairs.append((index[str(row["tail"])], index[str(row["head"])]))
+            ends = []
+            for end in ("tail", "head"):
+                if row[end] is None:  # not the vertex named "None"
+                    raise InputError(f"arc {pos}: {end} is null")
+                ends.append(index[str(row[end])])
+            pairs.append(tuple(ends))
         except KeyError as exc:
             raise InputError(f"arc {pos}: unknown endpoint {exc}") from exc
         try:
