@@ -8,8 +8,6 @@ collector off for the duration of a call and leaves its thresholds, its
 generations and any collection to the interpreter.
 """
 
-from __future__ import annotations
-
 import functools
 import gc
 
