@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._gc import paused
 from .costs import INF, Cost, integer_image, is_finite
 from .errors import InputError, InternalInvariantError, OracleViolation
 from .graph import Digraph
@@ -100,7 +99,6 @@ def _sweep(graph, t, weights, oracle):
     return potential, removal, witness, order
 
 
-@paused
 def interdicted_distances(
     graph: Digraph,
     t: int,

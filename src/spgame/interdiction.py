@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from ._gc import paused
 from .costs import INF, Cost, is_finite
 from .dijkstra import (
     Potentials,
@@ -269,7 +268,6 @@ def _one_sided_strategies(
     return removed, offered, p
 
 
-@paused
 def solve_interdiction(game: InterdictionGame) -> InterdictionNEResult:
     """Pure Nash equilibrium of an interdiction game, certified as
     described in `InterdictionNEResult`."""

@@ -357,7 +357,6 @@ def interdiction_to_json(game: InterdictionGame) -> dict:
     }
 
 
-@paused
 def load_any(obj: Mapping):
     """Dispatch on file shape: oracle specs mean an interdiction game."""
     if "oracles" in obj:
@@ -482,7 +481,6 @@ def interdiction_situation_from_json(
     )
 
 
-@paused
 def interdiction_result_to_json(
     game: InterdictionGame, res: InterdictionNEResult, certificate: bool = False
 ) -> dict:
@@ -497,7 +495,6 @@ def interdiction_result_to_json(
     return out
 
 
-@paused
 def potentials_to_json(names, pot: Potentials) -> dict:
     return {
         "phi": {

@@ -1,12 +1,13 @@
 """The collector pause at the bulk entry points (`spgame._gc.paused`).
 
 The pause is safe only while the paused work makes no cyclic garbage:
-`test_pipeline_leaves_no_cyclic_garbage` is the premise, and the other
-tests check that every call leaves the collector as it found it.
+`test_pipeline_leaves_no_cyclic_garbage` (the library pipeline) and
+`test_cli_makes_no_cyclic_garbage_beyond_its_parser` (every subcommand)
+are the premise, and the other tests check that every call leaves the
+collector as it found it.
 """
 
 import gc
-import json
 import pathlib
 
 import pytest
@@ -32,33 +33,13 @@ def entry_calls():
     """name -> zero-argument call of each paused entry point, on inputs
     built beforehand."""
     plain = game.normalize(jsonio.load_path(CHAIN))
-    igame = jsonio.load_path(INTERDICT)
-    with open(INTERDICT) as fh:
-        iobj = json.load(fh)
     res = ne.solve(plain)
-    ires = interdiction.solve_interdiction(igame)
-    pot = dijkstra.interdicted_distances(
-        igame.graph, igame.terminal, igame.r2, igame.oracle
-    )
     return {
         "cli.main": lambda: cli.main(["solve", CHAIN]),
         "jsonio.load_path": lambda: jsonio.load_path(CHAIN),
-        "jsonio.load_any": lambda: jsonio.load_any(iobj),
         "game.normalize_with_maps": lambda: game.normalize_with_maps(plain),
         "ne.solve": lambda: ne.solve(plain),
-        "interdiction.solve_interdiction": lambda: interdiction.solve_interdiction(
-            igame
-        ),
-        "dijkstra.interdicted_distances": lambda: dijkstra.interdicted_distances(
-            igame.graph, igame.terminal, igame.r1, igame.oracle.dual()
-        ),
         "jsonio.ne_result_to_json": lambda: jsonio.ne_result_to_json(plain, res),
-        "jsonio.interdiction_result_to_json": lambda: (
-            jsonio.interdiction_result_to_json(igame, ires)
-        ),
-        "jsonio.potentials_to_json": lambda: jsonio.potentials_to_json(
-            igame.names, pot
-        ),
         "jsonio.dumps": lambda: jsonio.dumps(jsonio.ne_result_to_json(plain, res)),
     }
 
@@ -115,12 +96,14 @@ def test_sweep_runs_with_the_collector_off(capsys, monkeypatch):
     gc.enable()
     calls = entry_calls()
     calls["cli.main phi --dual"] = lambda: cli.main(["phi", INTERDICT, "--dual"])
+    calls["cli.main solve-interdiction"] = lambda: cli.main(
+        ["solve-interdiction", INTERDICT]
+    )
     for name in (
         "cli.main",
         "cli.main phi --dual",
+        "cli.main solve-interdiction",
         "ne.solve",
-        "interdiction.solve_interdiction",
-        "dijkstra.interdicted_distances",
     ):
         seen.clear()
         calls[name]()
@@ -171,18 +154,36 @@ def test_pipeline_leaves_no_cyclic_garbage(tmp_path):
     assert gc.collect() == 0
 
 
-def test_cli_makes_no_cyclic_garbage_beyond_its_parser(capsys):
+def test_cli_makes_no_cyclic_garbage_beyond_its_parser(capsys, tmp_path):
     # the argument parser is the one cyclic structure `cli.main` builds; it
-    # is garbage from `parse_args` on and is collected after `main` returns
+    # is garbage from `parse_args` on and is collected after `main` returns.
+    # Every subcommand runs paused, so every one is checked here.
+    plain_sit = tmp_path / "plain_sit.json"
+    plain_sit.write_text(
+        jsonio.dumps({"sigma1": {"s": 0, "b": 4}, "sigma2": {"a": 2}})
+    )
+    inter_sit = tmp_path / "inter_sit.json"
+    inter_sit.write_text(
+        jsonio.dumps(
+            {"removed": {"s": [], "a": []}, "offered": {"s": [0, 1], "a": [2, 3]}}
+        )
+    )
+    out = str(tmp_path / "out.json")
     for argv in (
         ["solve", CHAIN, "--certificate"],
         ["phi", CHAIN, "--player", "2"],
         ["phi", INTERDICT, "--dual"],
         ["solve-interdiction", INTERDICT, "--certificate"],
+        ["verify", CHAIN, "--situation", str(plain_sit)],
+        ["verify", INTERDICT, "--situation", str(inter_sit)],
+        ["reduce", INTERDICT, "-o", out, "--mapping", str(tmp_path / "map.json")],
+        ["search", CHAIN],
+        ["normalize", str(DATA / "mixed.json"), "--bipartize", "-o", out],
+        ["bench", "--edges", "200", "--repeats", "1"],
     ):
         gc.collect()
         cli.build_parser().parse_args(argv)
         parser_only = gc.collect()
-        assert cli.main(argv) == 0
+        assert cli.main(argv) == 0, argv
         assert gc.collect() == parser_only > 0, argv
     capsys.readouterr()
