@@ -30,29 +30,6 @@ def _exact(f: Fraction) -> int | Fraction:
     return f.numerator if f.denominator == 1 else f
 
 
-def _parse_digits(value: str) -> int | Fraction | None:
-    """`_exact(Fraction(value))` for "p", "p/q" and "p.f" with every part
-    made of decimal digits, without `Fraction`'s regular expression; None
-    for any other spelling (signs, spaces, underscores, exponents, empty
-    parts).  Each part goes through `int` as `Fraction` parses it, so a
-    too-long part or a zero denominator raises the same error."""
-    num, slash, den = value.partition("/")
-    if slash:
-        if not (num.isdecimal() and den.isdecimal()):
-            return None
-        n, d = int(num), int(den)
-    else:
-        whole, dot, frac = value.partition(".")
-        if not whole.isdecimal() or (dot and not frac.isdecimal()):
-            return None
-        n, d = int(whole), 10 ** len(frac)
-        if frac:
-            n = n * d + int(frac)
-    if n % d == 0:
-        return n // d
-    return Fraction(n, d)
-
-
 def parse_cost(value) -> int | Fraction:
     """Convert an int, a decimal string such as "2.5", or a fraction string
     such as "5/2" to an exact rational: an `int` when the value is
@@ -62,8 +39,7 @@ def parse_cost(value) -> int | Fraction:
     # test against Fraction's abstract base class is slow
     if isinstance(value, str):
         try:
-            cost = _parse_digits(value)
-            return _exact(Fraction(value)) if cost is None else cost
+            return _exact(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a cost: {value!r}") from exc
     if isinstance(value, bool):
