@@ -10,6 +10,7 @@ fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -69,7 +70,7 @@ def _require_positive(game: SPGame) -> None:
 
 
 def _write_dot(path: str, game, play=None, situation=None) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(jsonio.export_dot(game, play=play, situation=situation))
 
 
@@ -238,7 +239,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `spgame` argument parser, built on the first call and reused by
+    every later one in the process.
+
+    `parse_args` gives each call a new namespace but hands every call the
+    same default objects, so defaults are immutable.  The parser is a few
+    hundred objects in reference cycles; built once, it lets `cli.main`
+    leave no cyclic garbage behind.
+    """
     parser = argparse.ArgumentParser(
         prog="spgame",
         description="Nash equilibria of two-person shortest path games "
@@ -321,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the sweep")
     p.add_argument(
         "--edges",
-        type=lambda s: [int(x) for x in s.split(",")],
-        default=[25_000, 50_000, 100_000],
+        type=lambda s: tuple(int(x) for x in s.split(",")),
+        default=(25_000, 50_000, 100_000),
     )
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--repeats", type=int, default=3)

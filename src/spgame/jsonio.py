@@ -366,7 +366,7 @@ def load_any(obj: Mapping):
 
 def load_object(path: str) -> dict:
     """The JSON object a file holds; anything else is an InputError."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except ValueError as exc:  # bad JSON or bad UTF-8

@@ -1,8 +1,14 @@
+import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from spgame import dijkstra, interdiction
+import spgame
+from spgame import cli, dijkstra, interdiction
 from spgame.cli import main
 from spgame.generators import InstanceGenerator
 from spgame.jsonio import dumps, game_to_json, situation_to_json
@@ -546,3 +552,109 @@ def test_bench_smoke(capsys):
     row = json.loads(out)["results"][0]
     assert row["vertices"] > 0 and row["edges"] > 0
     assert row["python_ms"] >= 0
+
+
+def outcome(capsys, argv):
+    """Exit code (or the `SystemExit` a usage error raises), stdout and
+    stderr of one in-process call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "calls, first_code",
+    [
+        ([["phi", "{interdict}", "--dual"], ["phi", "{interdict}"]], 0),
+        ([["phi"], ["solve", "{chain}", "--certificate"]], ("SystemExit", 2)),
+    ],
+    ids=["dual-then-primal", "usage-error-then-solve"],
+)
+def test_reused_parser_carries_nothing_between_calls(
+    capsys, chain, interdict, calls, first_code
+):
+    calls = [[a.format(chain=chain, interdict=interdict) for a in c] for c in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    cli.build_parser.cache_clear()
+    assert [outcome(capsys, argv) for argv in calls] == fresh
+    assert fresh[0][0] == first_code and fresh[0] != fresh[1]
+
+
+def test_second_call_builds_no_parser(capsys, monkeypatch, chain):
+    main(["solve", chain])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["solve", chain]) == 0
+    assert built == []
+    # the spy does see the parser being built
+    cli.build_parser.cache_clear()
+    main(["solve", chain])
+    assert built
+    capsys.readouterr()
+
+
+def run_in_c_locale(cwd, *argv):
+    """`python -m spgame.cli argv` with the ASCII C locale and UTF-8 mode
+    off, so `open` defaults to ASCII."""
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if not k.startswith(("LC_", "PYTHONIOENCODING", "PYTHONUTF8"))
+    }
+    src = str(pathlib.Path(spgame.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    env.update(PYTHONUTF8="0", LC_ALL="C")
+    return subprocess.run(
+        [sys.executable, "-m", "spgame.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+    )
+
+
+def accented_chain(data_dir) -> dict:
+    """chain.json with its start vertex renamed "s" -> "sé"."""
+    text = (data_dir / "chain.json").read_text(encoding="utf-8")
+    return json.loads(text.replace('"s"', '"sé"'))
+
+
+def test_files_read_as_utf8_whatever_the_locale(
+    capsys, monkeypatch, tmp_path, data_dir
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(
+        json.dumps(accented_chain(data_dir), ensure_ascii=False), encoding="utf-8"
+    )
+    (tmp_path / "sit.json").write_text(
+        '{"sigma1": {"sé": 0, "b": 4}, "sigma2": {"a": 2}}', encoding="utf-8"
+    )
+    for argv in (
+        ["solve", "g.json"],
+        ["verify", "g.json", "--situation", "sit.json"],
+    ):
+        proc = run_in_c_locale(tmp_path, *argv)
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+        assert proc.stdout == run(capsys, *argv)[1].encode("ascii"), argv
+
+
+def test_dot_written_as_utf8_whatever_the_locale(tmp_path, data_dir):
+    (tmp_path / "g.json").write_text(json.dumps(accented_chain(data_dir)))
+    proc = run_in_c_locale(tmp_path, "solve", "g.json", "--dot", "g.dot")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert '"sé" [shape=box, style=bold];' in (tmp_path / "g.dot").read_text(
+        encoding="utf-8"
+    )

@@ -2,8 +2,7 @@
 
 The pause is safe only while the paused work makes no cyclic garbage:
 `test_pipeline_leaves_no_cyclic_garbage` (the library pipeline) and
-`test_cli_makes_no_cyclic_garbage_beyond_its_parser` (every subcommand)
-are the premise, and the other tests check that every call leaves the
+`test_cli_makes_no_cyclic_garbage` (every subcommand) are the premise, and the other tests check that every call leaves the
 collector as it found it.
 """
 
@@ -154,10 +153,9 @@ def test_pipeline_leaves_no_cyclic_garbage(tmp_path):
     assert gc.collect() == 0
 
 
-def test_cli_makes_no_cyclic_garbage_beyond_its_parser(capsys, tmp_path):
-    # the argument parser is the one cyclic structure `cli.main` builds; it
-    # is garbage from `parse_args` on and is collected after `main` returns.
-    # Every subcommand runs paused, so every one is checked here.
+def test_cli_makes_no_cyclic_garbage(capsys, tmp_path):
+    # every subcommand runs paused, so every one is checked here; the
+    # warm-up call builds the argument parser, which every later call reuses
     plain_sit = tmp_path / "plain_sit.json"
     plain_sit.write_text(
         jsonio.dumps({"sigma1": {"s": 0, "b": 4}, "sigma2": {"a": 2}})
@@ -181,9 +179,8 @@ def test_cli_makes_no_cyclic_garbage_beyond_its_parser(capsys, tmp_path):
         ["normalize", str(DATA / "mixed.json"), "--bipartize", "-o", out],
         ["bench", "--edges", "200", "--repeats", "1"],
     ):
-        gc.collect()
-        cli.build_parser().parse_args(argv)
-        parser_only = gc.collect()
         assert cli.main(argv) == 0, argv
-        assert gc.collect() == parser_only > 0, argv
+        gc.collect()
+        assert cli.main(argv) == 0, argv
+        assert gc.collect() == 0, argv
     capsys.readouterr()
