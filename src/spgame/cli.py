@@ -239,6 +239,23 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """`--repeats`: a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _positive_ints(text: str) -> tuple[int, ...]:
+    """`--edges`: comma-separated positive integers."""
+    values = text.split(",")
+    if not all(x.isdecimal() and int(x) > 0 for x in values):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        )
+    return tuple(map(int, values))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `spgame` argument parser, built on the first call and reused by
@@ -331,11 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the sweep")
     p.add_argument(
         "--edges",
-        type=lambda s: tuple(int(x) for x in s.split(",")),
+        type=_positive_ints,
         default=(25_000, 50_000, 100_000),
     )
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_positive_int, default=3)
     p.set_defaults(func=cmd_bench)
 
     return parser

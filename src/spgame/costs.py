@@ -1,12 +1,12 @@
 """Exact cost arithmetic.
 
-Integral costs are plain `int`, from the file on; only truly fractional
-costs are `fractions.Fraction`.  `solve` and `shortest_longest_distances`
-work on each metric's integer image (`integer_image`: every cost times
-the LCM of the metric's denominators) and divide back only on output, so
-their sweeps compare and add ints.  The only non-rational value ever
-used is `INF`, which absorbs addition and dominates comparison exactly as
-IEEE infinity does.
+Integral costs are plain `int`, from the file on and in every game the
+package builds; only truly fractional costs are `fractions.Fraction`.
+Every sweep runs on its weights' integer image (`integer_image`: every
+cost times the LCM of the metric's denominators) and divides back once
+(`divide_back`), so sweeps compare and add ints.  The only non-rational
+value ever used is `INF`, which absorbs addition and dominates comparison
+exactly as IEEE infinity does.
 """
 
 from __future__ import annotations
@@ -53,11 +53,12 @@ def parse_cost(value) -> int | Fraction:
 
 def integer_image(weights: Sequence) -> tuple[int, tuple[int, ...]]:
     """`(scale, ints)`: `scale` is the LCM of the denominators of the
-    finite exact `weights`, and `ints[e] == weights[e] * scale`, each a
-    plain `int`.  `parse_cost` and `InstanceGenerator` give integral costs
-    as `int`, but games built in code may hold integral Fractions, which
-    become ints here too.  Scaling a metric by a positive constant keeps
+    exact `weights`, and `ints[e] == weights[e] * scale`, each a plain
+    `int` (integral Fractions too); all-`int` weights come back as they
+    are, with scale 1.  Scaling a metric by a positive constant keeps
     every comparison and tie between its sums."""
+    if all(type(c) is int for c in weights):
+        return 1, tuple(weights)
     try:
         scale = lcm(*{c.denominator for c in weights})
     except AttributeError:
@@ -65,6 +66,14 @@ def integer_image(weights: Sequence) -> tuple[int, tuple[int, ...]]:
     # built from a list, not a generator: tuple(generator) regrows its
     # buffer step by step, which left 100k-arc runs ~20 MB higher in RSS
     return scale, tuple([c.numerator * (scale // c.denominator) for c in weights])
+
+
+def divide_back(values: Sequence, scale: int) -> Sequence:
+    """`values` of an integer image divided by its `scale`, integral
+    results as `int`; `INF` stays `INF`."""
+    if scale == 1:
+        return values
+    return tuple([_exact(Fraction(v, scale)) if v != INF else v for v in values])
 
 
 def cost_to_json(c: Cost):

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .costs import INF, Cost, integer_image, is_finite
+from .costs import INF, Cost, divide_back, integer_image, is_finite
 from .errors import InputError, InternalInvariantError, OracleViolation
 from .graph import Digraph
 from .independence import IndependenceOracle, sp_blocking_oracle
@@ -108,33 +107,25 @@ def interdicted_distances(
 ) -> Potentials:
     """Worst-case shortest distance from every vertex to `t` when the
     blocker removes one independent arc set per vertex.  Weights must be
-    non-negative exact rationals (zeros allowed)."""
+    non-negative exact rationals (zeros allowed).
+
+    The sweep and `verify_potentials` run on the weights' integer image
+    (`integer_image`), which has the same heap order, ties and removal
+    sets; finite potentials are divided back by its scale once."""
     if graph.out[t]:
         raise InputError("target vertex must have no outgoing arcs")
     for u in range(graph.n):
         if u != t and not graph.out[u]:
             raise InputError(f"vertex {u} is a sink but not the target")
-    all_int = all(type(w) is int for w in weights)
-    if all_int:
-        if graph.m and min(weights) < 0:
-            raise InputError("negative weight")
-    else:
-        for e in range(graph.m):
-            if isinstance(weights[e], float):
-                raise InputError("weights must be exact rationals or ints")
-            if weights[e] < 0:
-                raise InputError(f"negative weight on arc {e}")
-    potential, blocked, witness, order = _sweep(graph, t, weights, oracle)
-    pot = Potentials(
-        t,
-        potential,
-        blocked,
-        tuple(witness),
-        tuple(order),
-    )
+    scale, ints = integer_image(weights)
+    low = min(ints, default=0)
+    if low < 0:
+        raise InputError(f"negative weight on arc {ints.index(low)}")
+    potential, blocked, witness, order = _sweep(graph, t, ints, oracle)
+    pot = Potentials(t, potential, blocked, tuple(witness), tuple(order))
     if check:
-        verify_potentials(graph, t, weights, oracle, pot)
-    return pot
+        verify_potentials(graph, t, ints, oracle, pot)
+    return replace(pot, potential=divide_back(potential, scale))
 
 
 def verify_potentials(graph, t, weights, oracle, pot: Potentials) -> None:
@@ -185,27 +176,15 @@ def verify_potentials(graph, t, weights, oracle, pot: Potentials) -> None:
 
 def shortest_longest_distances(game, player: int) -> Potentials:
     """Worst-case shortest distances for `player`'s own costs: the player
-    picks arcs at their vertices, the opponent forces arcs at theirs.
-
-    The sweep and `verify_potentials` run on the metric's integer image
-    (`integer_image`), which has the same heap order, ties and removal
-    sets; finite potentials are divided back by its scale."""
+    picks arcs at their vertices, the opponent forces arcs at theirs.  The
+    sweep runs on the metric's integer image (`interdicted_distances`)."""
     from .game import opponent
 
-    scale, weights = integer_image(game.cost(player))
-    pot = interdicted_distances(
+    return interdicted_distances(
         game.graph,
         game.terminal,
-        weights,
+        game.cost(player),
         sp_blocking_oracle(game, opponent(player)),
-    )
-    if scale == 1:
-        return pot
-    return replace(
-        pot,
-        potential=tuple(
-            [Fraction(p, scale) if is_finite(p) else p for p in pot.potential]
-        ),
     )
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from ._gc import paused
-from .costs import INF, Cost
+from .costs import INF, Cost, _exact
 from .errors import InputError, NoTerminalPath
 from .graph import Digraph, min_mean_cycle, reachable_from, reaches
 
@@ -351,7 +351,7 @@ def normalize_with_maps(game: SPGame, bipartize: bool = False):
                 mname += "*"
             taken.add(mname)
             new_names.append(mname)
-            half1, half2 = Fraction(c1, 2), Fraction(c2, 2)
+            half1, half2 = _exact(Fraction(c1, 2)), _exact(Fraction(c2, 2))
             tails += (a, mid)
             heads += (mid, b)
             r1 += (half1, half1)
@@ -405,13 +405,13 @@ def caterpillar(depth: int) -> SPGame:
     n = depth + 2  # choice vertices 0..depth, terminal = depth + 1
     t = n - 1
     pairs = []
-    costs: list[Fraction] = []
+    costs: list[int | Fraction] = []
     for k in range(depth + 1):
         pairs.append((k, t))
-        costs.append(2 * Fraction(1, 4) ** k)
+        costs.append(_exact(2 * Fraction(1, 4) ** k))
         if k < depth:
             pairs.append((k, k + 1))
-            costs.append(Fraction(1, 4) ** k)
+            costs.append(_exact(Fraction(1, 4) ** k))
     owner = tuple([PLAYER1] * (depth + 1) + [TERMINAL])
     names = tuple([f"p{k}" for k in range(depth + 1)] + ["t"])
     g = Digraph.from_arcs(n, pairs)

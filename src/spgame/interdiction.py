@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .costs import INF, Cost, is_finite
+from .costs import INF, Cost, _exact, is_finite
 from .dijkstra import (
     Potentials,
     dist_to_target,
@@ -410,14 +410,14 @@ def reduce_to_sp(game: InterdictionGame, cap: int = 100_000) -> ReductionResult:
                 f"reduction needs {total}+ copies, cap is {cap}"
             )
 
-    delta = Fraction(min(min(game.r1), min(game.r2)), 2)
+    delta = _exact(Fraction(min(min(game.r1), min(game.r2)), 2))
     n = g.n
     owner = [PLAYER1] * g.n
     owner[t] = TERMINAL
     names = list(game.names)
     pairs: list[tuple[int, int]] = []
-    r1: list[Fraction] = []
-    r2: list[Fraction] = []
+    r1: list[Cost] = []
+    r2: list[Cost] = []
     copy_of = {}
     choose_arc = {}
     move_arc = {}
@@ -437,8 +437,8 @@ def reduce_to_sp(game: InterdictionGame, cap: int = 100_000) -> ReductionResult:
                     continue
                 move_arc[len(pairs)] = (u, I, e)
                 pairs.append((copy, g.heads[e]))
-                r1.append(game.r1[e] - delta)
-                r2.append(game.r2[e] - delta)
+                r1.append(_exact(game.r1[e] - delta))
+                r2.append(_exact(game.r2[e] - delta))
 
     sp = SPGame(
         Digraph.from_arcs(n, pairs),

@@ -19,10 +19,9 @@ directly from the two maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ._gc import paused
-from .costs import Cost, integer_image, is_finite
+from .costs import Cost, divide_back, integer_image, is_finite
 from .dijkstra import (
     Potentials,
     dist_to_target,
@@ -411,12 +410,12 @@ def solve(game: SPGame) -> NEResult:
     forcing strategies.  The sweeps run without `verify_potentials`; the
     best-response check certifies the result instead.
 
-    The construction and its check run on the game's integer image, each
-    metric scaled by the LCM of its denominators (`integer_image`), which
-    has the same equilibria, heap order and tie-breaks.  The result keeps
-    the image's situation; its play and costs are `play_of` on `game`,
-    required to equal the image's costs divided by the scales, and the
-    certificate's potential is divided by the strong metric's scale."""
+    Like every sweep, the construction and its check run on the game's
+    integer image (`integer_image`), which has the same equilibria, heap
+    order and tie-breaks.  The result keeps the image's situation; its
+    play and costs are `play_of` on `game`, required to equal the image's
+    costs divided by the scales, and the certificate's potential is
+    divided by the strong metric's scale (`divide_back`)."""
     (scale1, r1), (scale2, r2) = integer_image(game.r1), integer_image(game.r2)
     image = SPGame(game.graph, game.owner, game.start, r1, r2, game.names)
     res = _construct(image)
@@ -429,13 +428,8 @@ def solve(game: SPGame) -> NEResult:
     certificate = res.certificate
     if "potential" in certificate:
         scale = scale2 if certificate["weak_player"] == PLAYER1 else scale1
-        certificate = {
-            **certificate,
-            "potential": tuple(
-                Fraction(p, scale) if scale != 1 and is_finite(p) else p
-                for p in certificate["potential"]
-            ),
-        }
+        potential = divide_back(certificate["potential"], scale)
+        certificate = {**certificate, "potential": potential}
     return NEResult(
         res.kind, res.situation, play, play.cost1, play.cost2, certificate
     )

@@ -554,6 +554,30 @@ def test_bench_smoke(capsys):
     assert row["python_ms"] >= 0
 
 
+LIST = "expected comma-separated positive integers"
+ONE = "expected a positive integer"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--edges", "x", LIST),
+        ("--edges", "-5", LIST),
+        ("--edges", "300,0", LIST),
+        ("--repeats", "0", ONE),
+        ("--repeats", "x", ONE),
+    ],
+)
+def test_bench_bad_arguments_are_usage_errors(capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", flag, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        f"spgame bench: error: argument {flag}: {message}, got {value!r}"
+    )
+
+
 def outcome(capsys, argv):
     """Exit code (or the `SystemExit` a usage error raises), stdout and
     stderr of one in-process call."""

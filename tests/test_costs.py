@@ -75,6 +75,13 @@ def test_integer_image_turns_integral_fractions_into_ints():
     assert all(type(c) is int for c in ints)
 
 
+def test_integer_image_keeps_all_int_weights():
+    weights = (3, 4, 5)
+    scale, ints = integer_image(weights)
+    assert scale == 1 and ints is weights
+    assert integer_image([3, 4, 5]) == (1, (3, 4, 5))
+
+
 def test_integer_image_rejects_floats():
     with pytest.raises(InputError):
         integer_image((1, 0.5))

@@ -402,7 +402,7 @@ def test_normalize_pinned_game_bipartized():
     assert out.graph.heads == (1, 4, 3, 2, 2, 2, 5, 0)
     assert out.r1 == (3, 1, 1, 4, 1, 1, F(1, 2), F(1, 2))
     assert out.r2 == (F(1, 2), 1, 1, 1, 5, 7, F(1, 2), F(1, 2))
-    assert [type(c) for c in out.r1] == [int, F, F, int, int, int, F, F]
+    assert [type(c) for c in out.r1] == [int, int, int, int, int, int, F, F]
     assert vmap == {1: 0, 2: 1, 3: 2, 4: 3}
     assert amap == {1: 0, 2: 1, 3: 3, 4: 4, 5: 5, 6: 6}
 
@@ -466,6 +466,11 @@ def test_bipartize_halves_int_costs_exactly():
     assert out.r1 == (F(3, 2), F(3, 2), 4)
     assert out.r2 == (F(5, 2), F(5, 2), 2)
     assert not any(isinstance(c, float) for c in out.r1 + out.r2)
+    # even costs halve to ints, not to integral Fractions
+    game = SPGame(g, (PLAYER1, PLAYER1, TERMINAL), 0, (6, 4), (F(4), 2))
+    out = normalize(game, bipartize=True)
+    assert out.r1 == (3, 3, 4) and out.r2 == (2, 2, 2)
+    assert all(type(c) is int for c in out.r1 + out.r2)
 
 
 def test_bipartize_preserves_solution_costs():
@@ -491,6 +496,9 @@ def test_caterpillar_structure():
     assert game.graph.n == 6
     assert game.names[-1] == "t"
     assert game.owner.count(TERMINAL) == 1
+    # the first exit and main arc cost 2 and 1, as ints
+    assert game.r1[:2] == (2, 1)
+    assert all(type(c) is int or c.denominator > 1 for c in game.r1)
 
 
 def test_caterpillar_exit_costs_decrease():

@@ -1,5 +1,6 @@
 import heapq
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -319,6 +320,26 @@ def test_solve_battery_verified():
     assert branches["primal"] > 0 and branches["cyclic"] > 0
 
 
+def test_solve_interdiction_commutes_with_scaling_one_metric():
+    factor = F(7, 3)
+    gen = InstanceGenerator(seed=606)
+    for _ in range(40):
+        game = gen.interdiction_game(max_vertices=6)
+        base = solve_interdiction(game)
+        for player, metric in ((PLAYER1, "r1"), (PLAYER2, "r2")):
+            scaled = tuple(c * factor for c in getattr(game, metric))
+            res = solve_interdiction(replace(game, **{metric: scaled}))
+            assert (res.kind, res.situation, res.path, res.certificate) == (
+                base.kind,
+                base.situation,
+                base.path,
+                base.certificate,
+            )
+            assert res.cost(player) == base.cost(player) * factor
+            other = PLAYER2 if player == PLAYER1 else PLAYER1
+            assert res.cost(other) == base.cost(other)
+
+
 def test_int_budget_games_need_no_fraction_arithmetic(monkeypatch):
     # all-int removal costs and budgets keep every sum an int: the oracle
     # checks, dual(), verify_potentials and the situation check
@@ -441,6 +462,14 @@ def test_reduction_of_int_cost_game_stays_exact(data_dir):
     sp = reduce_to_sp(game).sp_game
     assert F(1, 2) in sp.r1
     assert not any(isinstance(c, float) for c in sp.r1 + sp.r2)
+    # with an even least cost the shift is integral, and so is every cost
+    doubled = replace(
+        game,
+        r1=tuple(2 * c for c in game.r1),
+        r2=tuple(2 * c for c in game.r2),
+    )
+    sp = reduce_to_sp(doubled).sp_game
+    assert all(type(c) is int for c in sp.r1 + sp.r2)
 
 
 def test_reduction_cycles_stay_positive():

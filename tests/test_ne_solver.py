@@ -1,8 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from spgame import ne
+from spgame import cli, dijkstra, ne
 from spgame.bruteforce import verify_ne
 from spgame.costs import INF
 from spgame.dijkstra import shortest_longest_distances
@@ -25,7 +26,7 @@ from spgame.game import (
 )
 from spgame.generators import InstanceGenerator
 from spgame.graph import Digraph
-from spgame.jsonio import load_path
+from spgame.jsonio import dumps, interdiction_to_json, load_path
 from spgame.ne import (
     aligned_reduced_costs,
     best_response_value,
@@ -299,7 +300,7 @@ def test_solve_commutes_with_scaling_one_metric(factor):
                 )
 
 
-def test_solve_sweeps_see_only_int_weights(monkeypatch, data_dir):
+def test_solve_sweeps_see_only_int_weights(monkeypatch, tmp_path, data_dir):
     seen = []
 
     def spy(real):
@@ -309,8 +310,9 @@ def test_solve_sweeps_see_only_int_weights(monkeypatch, data_dir):
 
         return wrapper
 
-    for name in ("interdicted_distances", "dist_to_target"):
-        monkeypatch.setattr(ne, name, spy(getattr(ne, name)))
+    # every sweep, whoever calls it, goes through dijkstra._sweep
+    monkeypatch.setattr(dijkstra, "_sweep", spy(dijkstra._sweep))
+    monkeypatch.setattr(ne, "dist_to_target", spy(ne.dist_to_target))
     games = [load_path(str(data_dir / f)) for f in ("chain.json", "mixed.json")]
     gen = InstanceGenerator(seed=707)
     for i in range(40):
@@ -321,7 +323,30 @@ def test_solve_sweeps_see_only_int_weights(monkeypatch, data_dir):
         game = with_cost(game, PLAYER2, tuple(map(F, game.r2)))
         games.append(game)
     for game in games:
-        solve(normalize(game))
+        game = normalize(game)
+        solve(game)
+        for player in (PLAYER1, PLAYER2):
+            shortest_longest_distances(game, player)
+    paths = [str(data_dir / "interdict3.json")]
+    for i in range(20):
+        game = gen.interdiction_game(max_vertices=6)
+        # both metrics truly rational
+        game = replace(
+            game,
+            r1=tuple(F(c, 3) for c in game.r1),
+            r2=tuple(F(c, 2 + i % 3) for c in game.r2),
+        )
+        path = tmp_path / f"g{i}.json"
+        path.write_text(dumps(interdiction_to_json(game)))
+        paths.append(str(path))
+    for path in paths:
+        for argv in (
+            ["solve-interdiction", path],
+            ["phi", path],
+            ["phi", path, "--dual"],
+            ["phi", path, "--metric", "r1"],
+        ):
+            assert cli.main(argv) == 0
     assert seen and all(seen)
 
 
