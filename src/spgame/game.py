@@ -213,11 +213,14 @@ class ValidationReport:
 
 
 def positive_costs(game: SPGame) -> CheckResult:
-    """The `positive_costs` row of `validate`: one pass over the arcs."""
+    """The `positive_costs` row of `validate`: one pass over the arcs.  A
+    `Fraction`'s sign is its numerator's, read without `Fraction`'s own
+    comparison with 0; other costs are compared as they are."""
     bad = [
         e
-        for e in range(game.graph.m)
-        if game.r1[e] <= 0 or game.r2[e] <= 0
+        for e, (a, b) in enumerate(zip(game.r1, game.r2))
+        if (a.numerator if type(a) is Fraction else a) <= 0
+        or (b.numerator if type(b) is Fraction else b) <= 0
     ]
     return CheckResult(
         "positive_costs",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Mapping
 
@@ -116,18 +117,41 @@ def _arc_columns(arcs, index):
         heads = [index[str(v)] for v in heads]
     except KeyError:
         return None
+    costs = _cost_columns(r1, r2)
+    if costs is None:
+        return None
+    return tails, heads, *costs
+
+
+def _cost_columns(*columns) -> list[list[Cost]] | None:
+    """Each column of JSON costs parsed by `parse_cost`, or None if some
+    value is not an int or a string or does not parse."""
     # the type of every value, not of a set of the values: {1, True} keeps
     # only 1, and parse_cost must see True to reject it
-    if not set(map(type, r1)) | set(map(type, r2)) <= {int, str}:
+    if not set().union(*(map(type, col) for col in columns)) <= {int, str}:
         return None
     # ints and strings never compare equal, so each distinct string is
     # parsed once
     try:
-        parsed = {c: c if type(c) is int else parse_cost(c) for c in {*r1, *r2}}
+        parsed = {
+            c: c if type(c) is int else parse_cost(c)
+            for c in set().union(*columns)
+        }
     except InputError:
         return None
     cost = parsed.__getitem__
-    return tails, heads, list(map(cost, r1)), list(map(cost, r2))
+    return [list(map(cost, col)) for col in columns]
+
+
+def _int_column(values) -> list[int] | None:
+    """`values` as ints, each an int or a string of one, or None if one is
+    not (`_as_int`'s test, on the whole column)."""
+    if not set(map(type, values)) <= {int, str}:
+        return None
+    try:
+        return list(map(int, values))
+    except ValueError:
+        return None
 
 
 def _arc_rows_error(arcs, index) -> None:
@@ -216,7 +240,29 @@ def _rule_cost(row, name, value) -> Cost:
         raise InputError(f"vertex {row['vertex']!r}: field {name!r}: {exc}") from exc
 
 
-def _rule_from_json(row, graph, u) -> object:
+def _budget_tables(rows) -> dict[int, dict[int, Cost]]:
+    """The `costs` table of each budget rule row, by row position, with the
+    keys of all the file's tables converted in one `int` pass and their
+    values parsed as one column; empty if either column fails its check."""
+    tables = {
+        pos: row["costs"]
+        for pos, row in enumerate(rows)
+        if type(row) is dict
+        and row.get("kind") == "budget"
+        and type(row.get("costs")) is dict
+    }
+    keys = _int_column([key for table in tables.values() for key in table])
+    values = _cost_columns([c for table in tables.values() for c in table.values()])
+    if keys is None or values is None:
+        return {}
+    entries = zip(keys, values[0])
+    return {pos: dict(islice(entries, len(table))) for pos, table in tables.items()}
+
+
+def _rule_from_json(row, graph, u, budget_costs) -> object:
+    """The rule of one oracle row.  `budget_costs` is a budget row's table
+    from `_budget_tables`; when it is None the table is converted here
+    entry by entry, which names the first bad entry."""
     kind = row.get("kind")
     deg = len(graph.out[u])
     if kind == "cardinality":
@@ -233,10 +279,12 @@ def _rule_from_json(row, graph, u) -> object:
             raise InputError(
                 f"vertex {row['vertex']!r}: field 'costs' must map arc ids to costs"
             )
-        costs = {
-            _rule_int(row, "costs", key): _rule_cost(row, "costs", val)
-            for key, val in table.items()
-        }
+        costs = budget_costs
+        if costs is None:
+            costs = {
+                _rule_int(row, "costs", key): _rule_cost(row, "costs", val)
+                for key, val in table.items()
+            }
         missing = [e for e in graph.out[u] if e not in costs]
         if missing:
             raise InputError(
@@ -289,6 +337,7 @@ def interdiction_from_json(obj: Mapping) -> InterdictionGame:
     if not isinstance(rows, list):
         raise InputError("oracles: expected a list of oracle objects")
     rules = {}
+    budget = _budget_tables(rows)
     for pos, row in enumerate(rows):
         if not isinstance(row, dict):
             raise InputError(f"oracles[{pos}]: expected an oracle object")
@@ -299,7 +348,7 @@ def interdiction_from_json(obj: Mapping) -> InterdictionGame:
             )
         if u in rules:
             raise InputError(f"duplicate oracle spec for vertex {names[u]!r}")
-        rules[u] = _rule_from_json(row, graph, u)
+        rules[u] = _rule_from_json(row, graph, u, budget.get(pos))
     oracle = IndependenceOracle(graph, rules)
     return InterdictionGame(
         graph,

@@ -82,6 +82,82 @@ def test_solve_rejects_nonpositive_costs(capsys, tmp_path):
     assert "positive" in payload["message"]
 
 
+NONPOSITIVE_COSTS = [
+    ("1/2", 3),
+    ("-1/3", 1),
+    (2, "7.5"),
+    ("0", 1),
+    (1, "0/5"),
+    (-2, 1),
+    ("0.0", 1),
+    (1, "-0.25"),
+]
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["phi", "--player", "1"]])
+def test_nonpositive_costs_error_is_pinned(capsys, tmp_path, argv):
+    obj = {
+        "vertices": [{"id": "s", "owner": "P1"}, {"id": "t", "owner": "T"}],
+        "start": "s",
+        "arcs": [
+            {"id": e, "tail": "s", "head": "t", "r1": a, "r2": b}
+            for e, (a, b) in enumerate(NONPOSITIVE_COSTS)
+        ],
+    }
+    code, out, err = run(capsys, argv[0], write_json(tmp_path, obj), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == (
+        '{\n  "error": "InputError",\n'
+        '  "message": "non-positive cost on arcs [1, 3, 4, 5, 6]"\n}\n'
+    )
+
+
+def rational_game(seed):
+    """A generated game respelled with rational costs of mixed
+    denominators, in all three spellings."""
+    obj = game_to_json(InstanceGenerator(seed).sp_game(max_vertices=7))
+    for e, arc in enumerate(obj["arcs"]):
+        if e % 3 == 0:
+            arc["r1"] = f"{arc['r1']}/{e % 4 + 2}"
+        elif e % 3 == 1:
+            arc["r1"] = f"{arc['r1']}.{e % 7}5"
+        arc["r2"] = f"{arc['r2'] * 3}/{e % 5 + 2}"
+    return obj
+
+
+# stdout of each command on `rational_game(6)`, compact; the CLI writes
+# it indented by 2 with sorted keys
+RATIONAL_GAME_OUTPUT = {
+    ("solve", "--certificate"): (
+        '{"certificate": {"infinite_region": [1, 3], "method": "one-sided", '
+        '"path": [2, 6, 8], "potential": ["37/4", "inf", "21/4", "inf", 4, 0], '
+        '"weak_player": 2}, "costs": {"r1": "37/4", "r2": "253/20"}, '
+        '"kind": "terminal", "play": {"arcs": [2, 6, 8], "cycle_start": null, '
+        '"kind": "terminal", "r1": "37/4", "r2": "253/20", '
+        '"vertices": ["v0", "v3", "v5", "v6"]}, "situation": {"sigma1": '
+        '{"v0": 2, "v3": 6, "v4": 7, "v5": 8}, "sigma2": {"v2": 3}}}'
+    ),
+    ("phi", "--player", "1"): (
+        '{"B": ["v2", "v4"], "blocked": {"v2": [4]}, "phi": {"v0": "37/4", '
+        '"v2": "inf", "v3": "21/4", "v4": "inf", "v5": 4, "v6": 0}}'
+    ),
+    ("phi", "--player", "2"): (
+        '{"B": ["v0", "v3", "v4", "v5"], "blocked": {"v0": [1], "v5": [8]}, '
+        '"phi": {"v0": "inf", "v2": "5/2", "v3": "inf", "v4": "inf", '
+        '"v5": "inf", "v6": 0}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(RATIONAL_GAME_OUTPUT))
+def test_rational_game_output_is_pinned(capsys, tmp_path, argv):
+    path = write_json(tmp_path, rational_game(6))
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, err) == (0, "")
+    expected = json.loads(RATIONAL_GAME_OUTPUT[argv])
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_plain_commands_skip_cycle_checks(capsys, monkeypatch, chain):
     # positive costs imply positive cycles: the CLI's input check must not
     # pay for validate()'s min-mean-cycle rows

@@ -57,6 +57,22 @@ def test_json_forms():
     assert cost_to_json(INF) == "inf"
 
 
+@pytest.mark.parametrize(
+    "cost, expected",
+    [
+        (Fraction(-7, 3), "-7/3"),
+        (Fraction(-6, 3), -2),
+        (Fraction(0), 0),
+        (Fraction(10**30 + 1, 10**20), f"{10**30 + 1}/{10**20}"),
+        (Fraction(-(10**40), 7), f"-{10**40}/7"),
+        (Fraction(10**25, 5), 2 * 10**24),
+    ],
+)
+def test_json_forms_of_fractions(cost, expected):
+    got = cost_to_json(cost)
+    assert type(got) is type(expected) and got == expected
+
+
 def test_json_round_trip():
     for v in (0, 17, Fraction(22, 7), Fraction(-3, 2)):
         assert parse_cost(cost_to_json(v)) == v
@@ -85,3 +101,49 @@ def test_integer_image_keeps_all_int_weights():
 def test_integer_image_rejects_floats():
     with pytest.raises(InputError):
         integer_image((1, 0.5))
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, strategies as st  # noqa: E402
+
+# ASCII and other Unicode decimal digits, "²" (a digit but not decimal),
+# and every character of another spelling `Fraction` parses
+COST_CHARS = "0123456789٣५０²_+- eE/."
+
+
+def fraction_reference(value: str):
+    """What `parse_cost` must return for a string: `Fraction(value)`,
+    an `int` when integral, or "reject"."""
+    try:
+        f = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        return "reject"
+    return f.numerator if f.denominator == 1 else f
+
+
+@given(st.text(st.sampled_from(COST_CHARS), max_size=8))
+@example("")
+@example(".")
+@example("5.")
+@example(".5")
+@example("0/0")
+@example("3/0")
+@example("0/7")
+@example("10/4")
+@example("007.250")
+@example("1_0/2")
+@example("1e3")
+@example(" 5 ")
+@example("+5")
+@example("-5/2")
+@example("٣/५")
+@example("1" * 3000 + "." + "1" * 3000)
+@example("1" * 5000)
+@example("1/" + "1" * 5000)
+def test_parse_cost_strings_match_fraction(value):
+    try:
+        got = parse_cost(value)
+    except InputError:
+        got = "reject"
+    want = fraction_reference(value)
+    assert type(got) is type(want) and got == want

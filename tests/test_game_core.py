@@ -11,6 +11,7 @@ from spgame.game import (
     PLAYER1,
     PLAYER2,
     TERMINAL,
+    CheckResult,
     SPGame,
     Situation,
     caterpillar,
@@ -19,6 +20,7 @@ from spgame.game import (
     normalize_with_maps,
     opponent,
     play_of,
+    positive_costs,
     situations,
     validate,
     validate_situation,
@@ -233,6 +235,40 @@ def test_validate_flags_nonpositive_costs():
     assert not report.check("positive_costs").ok
     assert not report.check("positive_cycles_r1").ok
     assert report.check("positive_cycles_r2").ok
+
+
+def reference_positive_costs(game):
+    """The scan `positive_costs` replaced: every cost compared with 0."""
+    bad = [e for e in range(game.graph.m) if game.r1[e] <= 0 or game.r2[e] <= 0]
+    return CheckResult(
+        "positive_costs",
+        not bad,
+        "" if not bad else f"non-positive cost on arcs {bad[:5]}",
+    )
+
+
+MIXED_COSTS = [1, 7, 0, -2, F(1, 3), F(-1, 3), F(0), F(4, 2), F(-6, 3), F(10**20, 3)]
+FLOAT_COSTS = [0.5, 0.0, -0.0, -1.5, 1e-300, -1e-300, 3.0, INF]
+
+
+@pytest.mark.parametrize("pool", [MIXED_COSTS, FLOAT_COSTS, MIXED_COSTS + FLOAT_COSTS])
+def test_positive_costs_matches_comparison_with_zero(pool):
+    rng = random.Random(f"positive-costs:{len(pool)}")
+    failed = truncated = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        arcs = [
+            (u, rng.randrange(n)) for u in range(n - 1) for _ in range(rng.randint(1, 3))
+        ]
+        owner = [rng.choice((PLAYER1, PLAYER2)) for _ in range(n - 1)] + [TERMINAL]
+        r1 = [rng.choice(pool) if rng.random() < 0.5 else 1 for _ in arcs]
+        r2 = [rng.choice(pool) if rng.random() < 0.5 else F(5, 2) for _ in arcs]
+        game = SPGame(Digraph.from_arcs(n, arcs), tuple(owner), 0, tuple(r1), tuple(r2))
+        got = positive_costs(game)
+        assert got == reference_positive_costs(game)
+        failed += not got.ok
+        truncated += sum(a <= 0 or b <= 0 for a, b in zip(r1, r2)) > 5
+    assert 0 < failed < 300 and truncated
 
 
 def test_validate_positive_game_skips_min_mean_cycle(monkeypatch):

@@ -319,3 +319,69 @@ def test_bulk_arc_table_raises_the_row_by_row_error():
             tails, heads, r1, r2 = jsonio._arc_table(obj, index)
             assert list(zip(tails, heads)) == expected[0]
             assert (r1, r2) == (expected[1], expected[2])
+
+
+def load_budget_tables_entry_by_entry(obj, monkeypatch):
+    """`interdiction_from_json` with every budget `costs` table converted
+    entry by entry, as the loader did before it converted them as columns."""
+    with monkeypatch.context() as m:
+        m.setattr(jsonio, "_budget_tables", lambda rows: {})
+        return interdiction_from_json(obj)
+
+
+def respelled_budget_key(rng, e):
+    return rng.choice([str(e), f"0{e}", f" {e}", f"+{e}", e])
+
+
+def respelled_budget_cost(rng, c):
+    return rng.choice([c, str(c), f"{c}.0", f"{2 * c}/2", f"{c}.5", f"{3 * c + 1}/3"])
+
+
+# keys and costs that are bad or spelled unusually
+ODD_BUDGET_KEYS = ["x", "1.5", "", "1e3", True, 1.0, None, "٣"]
+ODD_BUDGET_COSTS = [None, True, 1.5, "x", "1/0", [], "-1", 0, "0", -2, "+3", "٣"]
+
+
+def test_budget_tables_match_entry_by_entry_conversion(monkeypatch):
+    rng = random.Random("budget-tables")
+    checked = errors = 0
+    for seed in range(300):
+        generator = InstanceGenerator(seed)
+        game = generator.interdiction_game(kinds=("budget", "cardinality"))
+        obj = interdiction_to_json(game)
+        for row in obj["oracles"]:
+            if row["kind"] == "budget":
+                row["costs"] = {
+                    respelled_budget_key(rng, int(e)): respelled_budget_cost(rng, c)
+                    for e, c in row["costs"].items()
+                }
+        budget_rows = [row for row in obj["oracles"] if row["kind"] == "budget"]
+        if budget_rows and rng.random() < 0.5:
+            row = rng.choice(budget_rows)
+            table = row["costs"]
+            action = rng.random()
+            if action < 0.1:
+                row["costs"] = rng.choice([list(table), None, "x", 1])
+            elif action < 0.55:
+                table[rng.choice(ODD_BUDGET_KEYS)] = 1
+            else:
+                table[rng.choice(list(table))] = rng.choice(ODD_BUDGET_COSTS)
+        try:
+            expected = load_budget_tables_entry_by_entry(obj, monkeypatch)
+        except InputError as exc:
+            errors += 1
+            with pytest.raises(InputError) as got:
+                interdiction_from_json(obj)
+            assert str(got.value) == str(exc)
+        else:
+            rules = interdiction_from_json(obj).oracle.rules
+            assert rules == expected.oracle.rules
+            for u, rule in rules.items():
+                if hasattr(rule, "costs"):
+                    want = expected.oracle.rules[u].costs
+                    assert list(rule.costs.items()) == list(want.items())
+                    assert [type(c) for c in rule.costs.values()] == [
+                        type(c) for c in want.values()
+                    ]
+            checked += 1
+    assert checked > 100 and errors > 20
