@@ -81,7 +81,7 @@ def integer_image(weights: Sequence) -> tuple[int, tuple[int, ...]]:
     `int` (integral Fractions too); all-`int` weights come back as they
     are, with scale 1.  Scaling a metric by a positive constant keeps
     every comparison and tie between its sums."""
-    if all(type(c) is int for c in weights):
+    if set(map(type, weights)) <= {int}:
         return 1, tuple(weights)
     try:
         scale = lcm(*{c.denominator for c in weights})

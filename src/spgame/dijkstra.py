@@ -9,13 +9,15 @@ vertex's final value: the blocker can force the mover to pay at least this
 much, and no admissible removal can force more.  Vertices never finalized
 get value infinity — there the blocker can cut the target off entirely.
 
-The sweep performs O(|E|) heap operations and, per extraction, one call
-of the vertex's growth step (`IndependenceOracle.growth_step`), which
-tries to add the extracted arc to the removal set.  One call costs O(1)
-for cardinality and budget rules and the dual of a budget rule, O(number
-of maximal sets) for explicit rules, and one rule query on the grown set
-for any other rule.  Ties are broken by arc index, so results are
-deterministic.
+The sweep performs O(|E|) heap operations and, per extraction, one try
+to add the extracted arc to the vertex's removal set.  Under cardinality
+and budget rules and their duals the try is one integer subtraction: the
+vertex's `room`, counted down from the oracle's `cap[u]` by each removed
+arc's `weight[e]`, must stay non-negative.  Other rules take one call of
+the vertex's growth step (`IndependenceOracle.growth_step`): O(number of
+maximal sets) for explicit rules and their duals, one rule query on the
+grown set for any other rule.  Ties are broken by arc index, so results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .costs import INF, Cost, divide_back, integer_image, is_finite
-from .errors import InputError, InternalInvariantError, OracleViolation
+from .errors import InputError, InternalInvariantError, InvalidSubset, OracleViolation
 from .graph import Digraph
 from .independence import IndependenceOracle, sp_blocking_oracle
 
@@ -62,13 +64,14 @@ def _sweep(graph, t, weights, oracle):
     n = graph.n
     finalized = [False] * n
     value: list = [None] * n
-    blocked: dict = {}  # only vertices that were popped, to spare O(n) sets
-    growth: list = [None] * n
     witness: list = [None] * n
     order = [t]
     value[t] = 0
     finalized[t] = True
     tails = graph.tails
+    cost, room, side = oracle.weight, oracle.cap.copy(), oracle.side
+    growth: dict = {}  # growth steps of the popped side vertices
+    removed = []
     heap = [(weights[e], e) for e in graph.inc[t] if not finalized[tails[e]]]
     heapq.heapify(heap)
     while heap:
@@ -76,26 +79,34 @@ def _sweep(graph, t, weights, oracle):
         u = tails[e]
         if finalized[u]:
             continue
-        add = growth[u]
-        if add is None:
-            add = growth[u] = oracle.growth_step(u)
-            blocked[u] = []
-        if add(e):
-            blocked[u].append(e)
-        else:
-            value[u] = key
-            witness[u] = e
-            finalized[u] = True
-            order.append(u)
-            for e2 in graph.inc[u]:
-                if not finalized[tails[e2]]:
-                    heapq.heappush(heap, (weights[e2] + key, e2))
+        # a side vertex's room is 0, so its arcs go to its growth step
+        left = room[u] - cost[e]
+        if left >= 0:
+            room[u] = left
+            removed.append(e)
+            continue
+        if u in side:
+            add = growth.get(u)
+            if add is None:
+                add = growth[u] = oracle.growth_step(u)
+            if add(e):
+                removed.append(e)
+                continue
+        value[u] = key
+        witness[u] = e
+        finalized[u] = True
+        order.append(u)
+        for e2 in graph.inc[u]:
+            if not finalized[tails[e2]]:
+                heapq.heappush(heap, (weights[e2] + key, e2))
     potential = tuple(value[u] if finalized[u] else INF for u in range(n))
-    none = frozenset()
-    removal = tuple(
-        frozenset(blocked[u]) if u in blocked else none for u in range(n)
-    )
-    return potential, removal, witness, order
+    blocked: dict = {}
+    for e in removed:
+        blocked.setdefault(tails[e], []).append(e)
+    removal = [frozenset()] * n
+    for u, arcs in blocked.items():
+        removal[u] = frozenset(arcs)
+    return potential, tuple(removal), witness, order
 
 
 def interdicted_distances(
@@ -111,7 +122,10 @@ def interdicted_distances(
 
     The sweep and `verify_potentials` run on the weights' integer image
     (`integer_image`), which has the same heap order, ties and removal
-    sets; finite potentials are divided back by its scale once."""
+    sets; finite potentials are divided back by its scale once.  Each
+    extraction costs a heap pop and, under cardinality and budget rules
+    and their duals, one int subtraction from the vertex's remaining cap;
+    under explicit rules and their duals, O(number of maximal sets)."""
     if graph.out[t]:
         raise InputError("target vertex must have no outgoing arcs")
     for u in range(graph.n):
@@ -135,40 +149,45 @@ def verify_potentials(graph, t, weights, oracle, pot: Potentials) -> None:
     costlier arc would be wasted), kept arcs are at least phi(u), some kept
     arc attains it (the mover pays exactly phi(u) against D(u)), and the
     arcs costing at most phi(u) form a dependent set (no admissible removal
-    forces the mover above phi(u))."""
+    forces the mover above phi(u)).  Independence is read off the oracle's
+    columns (`IndependenceOracle.admits`): two sums per vertex."""
     phi = pot.potential
     if phi[t] != 0:
         raise InternalInvariantError("target potential must be zero")
+    heads = graph.heads
     for u in range(graph.n):
         if u == t:
             continue
         removed = pot.blocked[u]
-        if not oracle.is_independent(u, removed):
+        if removed and not frozenset(removed).issubset(graph.out[u]):
+            raise InvalidSubset(f"query at vertex {u} contains non-outgoing arcs")
+        if not oracle.admits(u, removed):
             raise OracleViolation(
                 f"removal set at vertex {u} is not independent"
             )
         kept_tight = None
-        cheap = set()
+        cheap = []
+        top = phi[u]
         for e in graph.out[u]:
-            v = graph.heads[e]
-            through = weights[e] + phi[v] if is_finite(phi[v]) else INF
+            pv = phi[heads[e]]
+            through = weights[e] + pv if pv != INF else INF
             if e in removed:
-                if through > phi[u]:
+                if through > top:
                     raise InternalInvariantError(
                         f"arc {e} removed at {u} though costlier than phi({u})"
                     )
             else:
-                if through < phi[u]:
+                if through < top:
                     raise InternalInvariantError(
                         f"arc {e} kept but cheaper than phi({u})"
                     )
-                if through == phi[u]:
+                if through == top:
                     kept_tight = e
-            if through <= phi[u]:
-                cheap.add(e)
+            if through <= top:
+                cheap.append(e)
         if kept_tight is None:
             raise InternalInvariantError(f"no kept arc attains phi({u})")
-        if oracle.is_independent(u, cheap):
+        if oracle.admits(u, cheap):
             raise InternalInvariantError(
                 f"blocker could remove every arc within phi({u}) at {u}"
             )

@@ -18,8 +18,10 @@ there is no polynomial best-response check (see `InterdictionNEResult`).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Any, Mapping
 
 from .costs import INF, Cost, _exact, is_finite
@@ -59,9 +61,9 @@ class InterdictionGame:
                 raise InputError(f"vertex {u} is a sink but not the terminal")
         if len(self.r1) != g.m or len(self.r2) != g.m:
             raise InputError("cost list length does not match arc count")
-        for e in range(g.m):
-            if self.r1[e] <= 0 or self.r2[e] <= 0:
-                raise InputError(f"non-positive cost on arc {e}")
+        if min(self.r1, default=1) <= 0 or min(self.r2, default=1) <= 0:
+            e = next(e for e in range(g.m) if self.r1[e] <= 0 or self.r2[e] <= 0)
+            raise InputError(f"non-positive cost on arc {e}")
         if self.oracle.graph is not g:
             raise InputError("oracle is bound to a different graph")
         if not self.names:
@@ -139,9 +141,9 @@ def validate_interdiction_situation(
                 raise InputError(
                     f"{label} set at vertex {u}: arcs {foreign} do not leave it"
                 )
-        if not game.oracle.is_independent(u, sit.removed[u]):
+        if not game.oracle.admits(u, sit.removed[u]):
             raise InputError(f"removal set at vertex {u} is not independent")
-        if game.oracle.is_independent(u, sit.offered[u]):
+        if game.oracle.admits(u, sit.offered[u]):
             raise InputError(f"offered set at vertex {u} is not dependent")
 
 
@@ -246,14 +248,7 @@ def _one_sided_strategies(
             removed[u] = frozenset(
                 e for e in graph.out[u] if graph.heads[e] in U
             )
-            # the shortest prefix of the out-arcs that is dependent
-            add = oracle.growth_step(u)
-            grow = []
-            for e in graph.out[u]:
-                grow.append(e)
-                if not add(e):
-                    break
-            offered[u] = frozenset(grow)
+            offered[u] = frozenset(_dependent_prefix(oracle, u))
             continue
         offered[u] = frozenset(
             e for e in graph.out[u] if e in red and red[e] <= 0
@@ -266,6 +261,20 @@ def _one_sided_strategies(
         else:
             removed[u] = pot.blocked[u]
     return removed, offered, p
+
+
+def _dependent_prefix(oracle: IndependenceOracle, u: int) -> tuple[int, ...]:
+    """The shortest dependent prefix of `u`'s outgoing arcs: where the
+    running sum of the arcs' weights first exceeds the cap (weights are
+    positive), or where a side rule's growth step first refuses an arc."""
+    arcs = oracle.graph.out[u]
+    if u in oracle.side:
+        add = oracle.growth_step(u)
+        k = next(i for i, e in enumerate(arcs) if not add(e))
+    else:
+        spent = list(accumulate(map(oracle.weight.__getitem__, arcs)))
+        k = bisect_right(spent, oracle.cap[u])
+    return arcs[: k + 1]
 
 
 def solve_interdiction(game: InterdictionGame) -> InterdictionNEResult:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Mapping
 
 from ._gc import paused
-from .costs import INF, Cost, cost_to_json, parse_cost
+from .costs import INF, Cost, cost_to_json, integer_image, parse_cost
 from .dijkstra import Potentials
 from .errors import InputError, InternalInvariantError
 from .game import PLAYER1, PLAYER2, TERMINAL, Play, SPGame, Situation
@@ -240,29 +240,9 @@ def _rule_cost(row, name, value) -> Cost:
         raise InputError(f"vertex {row['vertex']!r}: field {name!r}: {exc}") from exc
 
 
-def _budget_tables(rows) -> dict[int, dict[int, Cost]]:
-    """The `costs` table of each budget rule row, by row position, with the
-    keys of all the file's tables converted in one `int` pass and their
-    values parsed as one column; empty if either column fails its check."""
-    tables = {
-        pos: row["costs"]
-        for pos, row in enumerate(rows)
-        if type(row) is dict
-        and row.get("kind") == "budget"
-        and type(row.get("costs")) is dict
-    }
-    keys = _int_column([key for table in tables.values() for key in table])
-    values = _cost_columns([c for table in tables.values() for c in table.values()])
-    if keys is None or values is None:
-        return {}
-    entries = zip(keys, values[0])
-    return {pos: dict(islice(entries, len(table))) for pos, table in tables.items()}
-
-
-def _rule_from_json(row, graph, u, budget_costs) -> object:
-    """The rule of one oracle row.  `budget_costs` is a budget row's table
-    from `_budget_tables`; when it is None the table is converted here
-    entry by entry, which names the first bad entry."""
+def _rule_from_json(row, graph, u) -> object:
+    """The rule of one oracle row, converted field by field and entry by
+    entry, so that an error names the first bad one."""
     kind = row.get("kind")
     deg = len(graph.out[u])
     if kind == "cardinality":
@@ -279,12 +259,16 @@ def _rule_from_json(row, graph, u, budget_costs) -> object:
             raise InputError(
                 f"vertex {row['vertex']!r}: field 'costs' must map arc ids to costs"
             )
-        costs = budget_costs
-        if costs is None:
-            costs = {
-                _rule_int(row, "costs", key): _rule_cost(row, "costs", val)
-                for key, val in table.items()
-            }
+        costs = {
+            _rule_int(row, "costs", key): _rule_cost(row, "costs", val)
+            for key, val in table.items()
+        }
+        foreign = sorted(set(costs).difference(graph.out[u]))
+        if foreign:
+            raise InputError(
+                f"vertex {row['vertex']!r}: field 'costs' names arcs {foreign} "
+                "that do not leave it"
+            )
         missing = [e for e in graph.out[u] if e not in costs]
         if missing:
             raise InputError(
@@ -324,6 +308,105 @@ def _rule_from_json(row, graph, u, budget_costs) -> object:
     raise InputError(f"unknown oracle kind {kind!r}")
 
 
+def _oracle_columns(rows, graph, index) -> IndependenceOracle | None:
+    """The oracle of the rule rows: cardinality bounds, `sp` rows and budget
+    tables written into its columns in bulk, explicit rules built row by
+    row.  None if a bulk check fails, or if a rule sits at a vertex
+    without arcs; the caller then converts the rows one by one, which
+    raises the error of the first bad row."""
+    if not set(map(type, rows)) <= {dict}:
+        return None
+    vertex = [row.get("vertex") for row in rows]
+    kinds = [row.get("kind") for row in rows]
+    try:
+        us = list(map(index.__getitem__, map(str, vertex)))
+        of_kind: dict = {kind: [] for kind in kinds}
+    except (KeyError, TypeError):  # unknown vertex, unhashable kind
+        return None
+    out = graph.out
+    if (
+        None in vertex
+        or len(set(us)) < len(us)
+        or not of_kind.keys() <= {"cardinality", "sp", "budget", "explicit"}
+        or not all(map(out.__getitem__, us))
+    ):
+        return None
+    for pos, kind in enumerate(kinds):
+        of_kind[kind].append(pos)
+    cap: list = [None] * graph.n
+    bounds = _int_column([rows[pos].get("k") for pos in of_kind.get("cardinality", ())])
+    if bounds is None:
+        return None
+    for pos, k in zip(of_kind.get("cardinality", ()), bounds):
+        if not 0 <= k < len(out[us[pos]]):
+            return None
+        cap[us[pos]] = k
+    for pos in of_kind.get("sp", ()):
+        owner = rows[pos].get("owner")
+        if owner not in ("P1", "P2"):
+            return None
+        cap[us[pos]] = len(out[us[pos]]) - 1 if owner == "P1" else 0
+    columns = _budget_columns(rows, of_kind.get("budget", []), us, graph, cap)
+    if columns is None:
+        return None
+    weight, scale = columns
+    rules = {}
+    try:
+        for pos in of_kind.get("explicit", ()):
+            rules[us[pos]] = _rule_from_json(rows[pos], graph, us[pos])
+    except InputError:
+        return None
+    return IndependenceOracle(graph, rules, (weight, cap, scale))
+
+
+def _budget_columns(rows, budget, us, graph, cap):
+    """`(weight, scale)` for `_oracle_columns`, with the budget rows at
+    positions `budget` written into `cap` and the weight column: their
+    `costs` tables' keys converted as one column, their costs and budgets
+    parsed as two.  None if a check fails."""
+    tables = [rows[pos].get("costs") for pos in budget]
+    budgets = _cost_columns([rows[pos].get("budget") for pos in budget])
+    if budgets is None or not set(map(type, tables)) <= {dict}:
+        return None
+    owners = [us[pos] for pos in budget]
+    arcs = [graph.out[u] for u in owners]
+    keys = list(chain.from_iterable(tables))
+    costs = _cost_columns(list(chain.from_iterable(map(dict.values, tables))))
+    # each table keyed by its vertex's arcs in order, as `interdiction_to_json`
+    # writes them, or else every key an arc out of its row's vertex and
+    # every such arc a key
+    flat = list(chain.from_iterable(arcs))
+    if keys == list(map(str, flat)) and list(map(len, tables)) == list(map(len, arcs)):
+        keys = flat
+    else:
+        keys = _int_column(keys)
+        if keys is None or keys and (min(keys) < 0 or max(keys) >= graph.m):
+            return None
+        spans = chain.from_iterable(map(repeat, owners, map(len, tables)))
+        if list(map(graph.tails.__getitem__, keys)) != list(spans):
+            return None
+        if len(set(keys)) != len(flat):
+            return None
+    if costs is None:
+        return None
+    weight = [1] * graph.m
+    for e, c in zip(keys, costs[0]):  # the later of two equal keys wins
+        weight[e] = c
+    if flat and min(map(weight.__getitem__, flat)) <= 0:
+        return None
+    scale = dict.fromkeys(owners, 1)
+    for u, b in zip(owners, budgets[0]):
+        cap[u] = b
+    if set(map(type, chain(costs[0], budgets[0]))) <= {int}:
+        return weight, scale
+    for u, b in zip(owners, budgets[0]):
+        scale[u], ints = integer_image([*map(weight.__getitem__, graph.out[u]), b])
+        for e, w in zip(graph.out[u], ints):
+            weight[e] = w
+        cap[u] = ints[-1]
+    return weight, scale
+
+
 def interdiction_from_json(obj: Mapping) -> InterdictionGame:
     names, index = _vertex_table(obj)
     tails, heads, r1, r2 = _arc_table(obj, index)
@@ -336,20 +419,21 @@ def interdiction_from_json(obj: Mapping) -> InterdictionGame:
     rows = obj.get("oracles", [])
     if not isinstance(rows, list):
         raise InputError("oracles: expected a list of oracle objects")
-    rules = {}
-    budget = _budget_tables(rows)
-    for pos, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise InputError(f"oracles[{pos}]: expected an oracle object")
-        u = _vertex_index(index, row.get("vertex"))
-        if u is None:
-            raise InputError(
-                f"oracle spec for unknown vertex {str(row.get('vertex'))!r}"
-            )
-        if u in rules:
-            raise InputError(f"duplicate oracle spec for vertex {names[u]!r}")
-        rules[u] = _rule_from_json(row, graph, u, budget.get(pos))
-    oracle = IndependenceOracle(graph, rules)
+    oracle = _oracle_columns(rows, graph, index)
+    if oracle is None:
+        rules = {}
+        for pos, row in enumerate(rows):
+            if not isinstance(row, dict):
+                raise InputError(f"oracles[{pos}]: expected an oracle object")
+            u = _vertex_index(index, row.get("vertex"))
+            if u is None:
+                raise InputError(
+                    f"oracle spec for unknown vertex {str(row.get('vertex'))!r}"
+                )
+            if u in rules:
+                raise InputError(f"duplicate oracle spec for vertex {names[u]!r}")
+            rules[u] = _rule_from_json(row, graph, u)
+        oracle = IndependenceOracle(graph, rules)
     return InterdictionGame(
         graph,
         ends["start"],
@@ -571,18 +655,19 @@ def _encode(value, indent: str) -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        return (
-            "{"
-            + inner
-            + ("," + inner).join(
-                [
-                    _encode_str(k) + ": " + _encode(value[k], inner)
-                    for k in sorted(value)
-                ]
-            )
-            + indent
-            + "}"
-        )
+        sep = "," + inner + "  "
+        items = []
+        # ints and non-empty int lists, most of a `phi` output, inline
+        for k in sorted(value):
+            v = value[k]
+            if type(v) is int:
+                text = int.__repr__(v)
+            elif type(v) is list and set(map(type, v)) == {int}:
+                text = "[" + sep[1:] + sep.join(map(int.__repr__, v)) + inner + "]"
+            else:
+                text = _encode(v, inner)
+            items.append(_encode_str(k) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     if t is list or t is tuple:
         if not value:
             return "[]"

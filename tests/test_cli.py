@@ -423,9 +423,16 @@ def test_phi_backend_flag(capsys, interdict):
         ({"kind": "budget", "budget": 1}, "costs"),
         ({"kind": "budget", "costs": {"2": 1, "3": 1}}, "budget"),
         ({"kind": "budget", "costs": {"2": 1, "x": 1}, "budget": 1}, "costs"),
+        (
+            {"kind": "budget", "costs": {"2": 1, "3": 1, "0": 5, "99": 4}, "budget": 1},
+            "costs",
+        ),
         ({"kind": "explicit"}, "maximal"),
     ],
-    ids=["k-fraction", "k-string", "no-k", "no-costs", "no-budget", "cost-key", "no-maximal"],
+    ids=[
+        "k-fraction", "k-string", "no-k", "no-costs", "no-budget", "cost-key",
+        "foreign-cost-key", "no-maximal",
+    ],
 )
 def test_bad_oracle_rule_is_input_error(capsys, tmp_path, interdict, rule, field):
     with open(interdict) as fh:
@@ -558,6 +565,29 @@ def test_reduce_cap_exit(capsys, interdict):
     code, _, err = run(capsys, "reduce", interdict, "--cap", "2")
     assert code == 2
     assert json.loads(err)["error"] == "CapExceeded"
+
+
+# stdout pinned byte for byte on games with budget rules (rational removal
+# costs and budgets) and explicit rules; both files take the dual branch
+PINNED_COMMANDS = {
+    "solve-interdiction": ["solve-interdiction", "--certificate"],
+    "phi": ["phi"],
+    "phi-dual": ["phi", "--dual"],
+    "phi-r1-dual": ["phi", "--metric", "r1", "--dual"],
+    "reduce": ["reduce"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_COMMANDS))
+@pytest.mark.parametrize("game", ["interdict_budget", "interdict_explicit"])
+def test_interdiction_output_is_pinned(capsys, data_dir, game, command):
+    argv = PINNED_COMMANDS[command]
+    code, out, err = run(
+        capsys, argv[0], str(data_dir / f"{game}.json"), *argv[1:]
+    )
+    assert code == 0 and err == ""
+    expected = data_dir / "expected" / f"{game}.{command}.json"
+    assert out == expected.read_text(encoding="utf-8")
 
 
 def test_search(capsys, chain):

@@ -22,6 +22,7 @@ from spgame.independence import (
     BudgetRule,
     CardinalityRule,
     DualRule,
+    ExplicitRule,
     IndependenceOracle,
     cardinality_oracle,
     explicit_rule,
@@ -214,9 +215,10 @@ def test_verify_rejects_false_infinity():
 # the growth step against one oracle query per extraction
 
 
-def reference_sweep(graph, t, weights, oracle):
-    """The sweep with one oracle query per extraction: is the vertex's
-    removal set plus the extracted arc independent?"""
+def reference_sweep(graph, t, weights, rules):
+    """The sweep with one rule query per extraction: is the vertex's
+    removal set plus the extracted arc independent under `rules[u]`, a
+    rule object (not the oracle's columns)?"""
     n = graph.n
     finalized = [False] * n
     value = [None] * n
@@ -233,7 +235,7 @@ def reference_sweep(graph, t, weights, oracle):
         if finalized[u]:
             continue
         grown = blocked[u] | {e}
-        if oracle.is_independent(u, grown):
+        if rules[u].independent(grown):
             blocked[u] = grown
             continue
         value[u], witness[u], finalized[u] = key, e, True
@@ -284,15 +286,18 @@ def test_sweep_matches_reference_loop(kinds, dual):
         oracle = IndependenceOracle(g, rules)
         if dual:
             oracle = oracle.dual()
+            rules = {u: DualRule(r, frozenset(g.out[u])) for u, r in rules.items()}
         pot = interdicted_distances(g, n - 1, w, oracle, check=False)
-        potential, blocked, witness, order = reference_sweep(g, n - 1, w, oracle)
+        potential, blocked, witness, order = reference_sweep(g, n - 1, w, rules)
         assert pot.potential == potential
         assert pot.blocked == blocked
         assert pot.witness == witness
         assert pot.order == order
 
 
-@pytest.mark.parametrize("kind", ["cardinality", "budget", "dual-budget"])
+@pytest.mark.parametrize(
+    "kind", ["cardinality", "budget", "dual-budget", "explicit", "dual-explicit"]
+)
 def test_hub_sweep_queries_stay_linear(monkeypatch, kind):
     # four hubs of 4,000 parallel arcs each, chained to the target; a sweep
     # that re-queries the growing removal set pays the sum of its sizes,
@@ -309,12 +314,17 @@ def test_hub_sweep_queries_stay_linear(monkeypatch, kind):
             rules[u] = CardinalityRule(deg // 2)
         elif kind == "budget":
             rules[u] = BudgetRule(costs, total / 2)
-        else:
+        elif kind == "dual-budget":
             rules[u] = DualRule(BudgetRule(costs, total / 3), frozenset(g.out[u]))
+        else:
+            halves = [rng.sample(g.out[u], deg // 2) for _ in range(3)]
+            rules[u] = explicit_rule(halves)
+            if kind == "dual-explicit":
+                rules[u] = DualRule(rules[u], frozenset(g.out[u]))
     oracle = IndependenceOracle(g, rules)
 
     passed = [0]
-    for cls in (CardinalityRule, BudgetRule, DualRule):
+    for cls in (CardinalityRule, BudgetRule, ExplicitRule, DualRule):
         def counted(self, arcs, _inner=cls.independent):
             passed[0] += len(arcs)
             return _inner(self, arcs)

@@ -110,32 +110,45 @@ def test_dual_cardinality_formula():
     assert dual.rules[0].k == 4 - 1 - 1
 
 
+# one rule of each kind on the four arcs of `fan(4)`
+DUAL_CASES = [
+    explicit_rule([{0, 1}, {2}, {3}]),
+    explicit_rule([{0, 1, 2}]),
+    explicit_rule([{1}, {3}]),
+    CardinalityRule(1),
+    CardinalityRule(3),
+    BudgetRule({0: F(1, 2), 1: F(2, 3), 2: 1, 3: F(5, 4)}, F(7, 6)),
+    BudgetRule({0: 3, 1: 1, 2: 2, 3: 2}, 0),
+]
+
+
+def all_subsets(arcs):
+    for r in range(len(arcs) + 1):
+        yield from map(frozenset, itertools.combinations(arcs, r))
+
+
 def test_dual_is_involution_pointwise():
+    # the oracle, its dual and its double dual against the rule objects
     g = fan(4)
-    ground = list(range(4))
-    fams = [
-        explicit_rule([{0, 1}, {2}, {3}]),
-        explicit_rule([{0, 1, 2}]),
-        explicit_rule([{1}, {3}]),
-    ]
-    for rule in fams:
+    for rule in DUAL_CASES:
         orc = IndependenceOracle(g, {0: rule})
-        ddual = orc.dual().dual()
-        for r in range(5):
-            for sub in itertools.combinations(ground, r):
-                s = frozenset(sub)
-                assert orc.is_independent(0, s) == ddual.is_independent(0, s)
+        dual = orc.dual()
+        ddual = dual.dual()
+        reference = DualRule(rule, frozenset(g.out[0]))
+        for s in all_subsets(range(4)):
+            assert orc.is_independent(0, s) == rule.independent(s)
+            assert dual.is_independent(0, s) == reference.independent(s)
+            assert ddual.is_independent(0, s) == rule.independent(s)
+        assert ddual.rules == orc.rules
 
 
 def test_dual_complement_relation():
     g = fan(4)
-    orc = IndependenceOracle(g, {0: explicit_rule([{0, 1}, {1, 2, 3}])})
-    dual = orc.dual()
     ground = frozenset(range(4))
-    for r in range(5):
-        for sub in itertools.combinations(range(4), r):
-            s = frozenset(sub)
-            assert dual.is_independent(0, s) == orc.is_dependent(0, ground - s)
+    for rule in DUAL_CASES:
+        dual = IndependenceOracle(g, {0: rule}).dual()
+        for s in all_subsets(range(4)):
+            assert dual.is_independent(0, s) == (not rule.independent(ground - s))
 
 
 def test_dual_unwraps_nested_dual():

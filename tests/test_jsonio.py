@@ -322,10 +322,11 @@ def test_bulk_arc_table_raises_the_row_by_row_error():
 
 
 def load_budget_tables_entry_by_entry(obj, monkeypatch):
-    """`interdiction_from_json` with every budget `costs` table converted
-    entry by entry, as the loader did before it converted them as columns."""
+    """`interdiction_from_json` with every rule row converted on its own and
+    every budget `costs` table entry by entry, as the loader does when its
+    bulk column checks fail."""
     with monkeypatch.context() as m:
-        m.setattr(jsonio, "_budget_tables", lambda rows: {})
+        m.setattr(jsonio, "_oracle_columns", lambda rows, graph, index: None)
         return interdiction_from_json(obj)
 
 
@@ -385,3 +386,17 @@ def test_budget_tables_match_entry_by_entry_conversion(monkeypatch):
                     ]
             checked += 1
     assert checked > 100 and errors > 20
+
+
+def test_budget_keys_shifted_between_tables_are_foreign(data_dir):
+    # the tables' keys, read one after the other, are the arcs of their
+    # vertices in order, but arc 2 is listed under `s`, which it does not
+    # leave
+    obj = json.loads((data_dir / "interdict3.json").read_text())
+    s_costs, a_costs = {"0": 1, "1": 1, "2": 1}, {"3": 1}
+    obj["oracles"] = [
+        {"vertex": "s", "kind": "budget", "costs": s_costs, "budget": 1},
+        {"vertex": "a", "kind": "budget", "costs": a_costs, "budget": 1},
+    ]
+    with pytest.raises(InputError, match=r"vertex 's': field 'costs' names arcs \[2\]"):
+        interdiction_from_json(obj)
