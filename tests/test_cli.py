@@ -590,6 +590,32 @@ def test_interdiction_output_is_pinned(capsys, data_dir, game, command):
     assert out == expected.read_text(encoding="utf-8")
 
 
+# stdout pinned byte for byte on rational plain games: `spellings` writes
+# its costs in every spelling `parse_cost` accepts and has a vertex that
+# normalize prunes and same-owner arcs that bipartize splits; `mixed`
+# normalizes to itself
+PINNED_PLAIN_COMMANDS = {
+    "solve": ["solve", "--certificate"],
+    "phi-1": ["phi", "--player", "1"],
+    "phi-2": ["phi", "--player", "2"],
+    "normalize": ["normalize"],
+    "normalize-bipartize": ["normalize", "--bipartize"],
+    "search": ["search"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_PLAIN_COMMANDS))
+@pytest.mark.parametrize("game", ["spellings", "mixed"])
+def test_plain_output_is_pinned(capsys, data_dir, game, command):
+    argv = PINNED_PLAIN_COMMANDS[command]
+    code, out, err = run(
+        capsys, argv[0], str(data_dir / f"{game}.json"), *argv[1:]
+    )
+    assert code == 0 and err == ""
+    expected = data_dir / "expected" / f"{game}.{command}.json"
+    assert out == expected.read_text(encoding="utf-8")
+
+
 def test_search(capsys, chain):
     code, out, _ = run(capsys, "search", chain)
     assert code == 0
