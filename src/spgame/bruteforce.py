@@ -205,8 +205,10 @@ def search_terminal_ne(
     ]
     # best-response value for the *other* player against each strategy
     s = game.start
+    # distances on the integer images, compared with the play's sums there
     value_against_s1 = [response_distances(game, PLAYER2, f)[s] for f in all_s1]
     value_against_s2 = [response_distances(game, PLAYER1, f)[s] for f in all_s2]
+    r1, r2 = game.r1.ints, game.r2.ints
 
     scanned = 0
     terminal_plays = 0
@@ -222,8 +224,8 @@ def search_terminal_ne(
                 continue
             terminal_plays += 1
             if (
-                play.cost1 == value_against_s2[j]
-                and play.cost2 == value_against_s1[i]
+                sum(map(r1.__getitem__, play.arcs)) == value_against_s2[j]
+                and sum(map(r2.__getitem__, play.arcs)) == value_against_s1[i]
             ):
                 check = verify_ne(game, sit, cap=cap)
                 if not check.is_ne:

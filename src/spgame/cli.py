@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import time
 
 from . import bruteforce, jsonio
 from ._gc import paused
@@ -34,8 +33,6 @@ from .game import (
     positive_costs,
     validate_situation,
 )
-from .generators import layered_graph
-from .independence import cardinality_oracle
 from .interdiction import (
     InterdictionGame,
     reduce_to_sp,
@@ -93,8 +90,6 @@ def cmd_solve_interdiction(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    if args.backend == "native":
-        raise InputError("native backend unavailable: spgame has one sweep kernel")
     game = jsonio.load_path(args.game)
     if isinstance(game, SPGame):
         if args.player is None:
@@ -196,66 +191,6 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import random
-
-    from .dijkstra import _sweep
-
-    def best_of(fn):
-        best = None
-        out = None
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            out = fn()
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        return best, out
-
-    rows = []
-    for edges in args.edges:
-        graph, sink, weights = layered_graph(edges, seed=args.seed)
-        rng = random.Random(args.seed ^ edges)
-        bounds = {
-            u: rng.randint(0, len(graph.out[u]) - 1)
-            for u in range(graph.n)
-            if graph.out[u]
-        }
-        oracle = cardinality_oracle(graph, bounds)
-
-        py_s, _ = best_of(
-            lambda: interdicted_distances(
-                graph, sink, weights, oracle, check=False
-            )
-        )
-        ker_s, _ = best_of(lambda: _sweep(graph, sink, weights, oracle))
-        row = {
-            "edges": graph.m,
-            "vertices": graph.n,
-            "python_ms": round(py_s * 1000, 3),
-            "python_kernel_ms": round(ker_s * 1000, 3),
-        }
-        rows.append(row)
-    _emit({"results": rows})
-    return 0
-
-
-def _positive_int(text: str) -> int:
-    """`--repeats`: a positive integer."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
-def _positive_ints(text: str) -> tuple[int, ...]:
-    """`--edges`: comma-separated positive integers."""
-    values = text.split(",")
-    if not all(x.isdecimal() and int(x) > 0 for x in values):
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated positive integers, got {text!r}"
-        )
-    return tuple(map(int, values))
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `spgame` argument parser, built on the first call and reused by
@@ -307,13 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="query the dual oracle (interdiction games)",
     )
-    # deprecated no-op: there is one sweep kernel
-    p.add_argument(
-        "--backend",
-        choices=("auto", "python", "native"),
-        default="auto",
-        help=argparse.SUPPRESS,
-    )
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("verify", help="brute-force equilibrium check")
@@ -344,16 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", metavar="FILE")
     p.add_argument("--dot", metavar="FILE")
     p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("bench", help="time the sweep")
-    p.add_argument(
-        "--edges",
-        type=_positive_ints,
-        default=(25_000, 50_000, 100_000),
-    )
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--repeats", type=_positive_int, default=3)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -121,8 +121,11 @@ def interdicted_distances(
     non-negative exact rationals (zeros allowed).
 
     The sweep and `verify_potentials` run on the weights' integer image
-    (`integer_image`), which has the same heap order, ties and removal
-    sets; finite potentials are divided back by its scale once.  Each
+    (`integer_image`: a game's `Metric` gives its own in O(1), any other
+    sequence is imaged here), which has the same heap order, ties and
+    removal sets; finite potentials are divided back by its scale once,
+    on return.  The solvers pass `Metric.image`, of scale 1, and so get
+    the potentials on the image, with nothing divided.  Each
     extraction costs a heap pop and, under cardinality and budget rules
     and their duals, one int subtraction from the vertex's remaining cap;
     under explicit rules and their duals, O(number of maximal sets)."""

@@ -2,10 +2,10 @@
 
 A game is a digraph whose non-terminal vertices are owned by player 1 or
 player 2, a start vertex, and one positive rational cost per arc and
-player.  A pair of positional strategies traces a unique play from the
-start: either a path ending at a terminal (each player pays the sum of
-their own arc costs) or a lasso (both pay infinity, since costs are
-positive).
+player, each player's held as a `Metric` (integer image and scale).  A
+pair of positional strategies traces a unique play from the start:
+either a path ending at a terminal (each player pays the sum of their
+own arc costs) or a lasso (both pay infinity, since costs are positive).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from ._gc import paused
-from .costs import INF, Cost, _exact
+from .costs import INF, Cost, Metric, _exact, integer_image
 from .errors import InputError, NoTerminalPath
 from .graph import Digraph, min_mean_cycle, reachable_from, reaches
 
@@ -30,15 +30,20 @@ def opponent(player: int) -> int:
 
 @dataclass(frozen=True)
 class SPGame:
+    """`r1` and `r2` are `Metric`s; costs given as a sequence of ints and
+    Fractions are imaged once, here."""
+
     graph: Digraph
     owner: tuple[int, ...]
     start: int
-    r1: tuple[Cost, ...]
-    r2: tuple[Cost, ...]
+    r1: Metric
+    r2: Metric
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
         g = self.graph
+        object.__setattr__(self, "r1", Metric.of(self.r1))
+        object.__setattr__(self, "r2", Metric.of(self.r2))
         if len(self.owner) != g.n:
             raise InputError("owner list length does not match vertex count")
         if not 0 <= self.start < g.n:
@@ -58,7 +63,7 @@ class SPGame:
         elif len(self.names) != g.n:
             raise InputError("name list length does not match vertex count")
 
-    def cost(self, player: int) -> tuple[Cost, ...]:
+    def cost(self, player: int) -> Metric:
         return self.r1 if player == PLAYER1 else self.r2
 
     def vertices_of(self, player: int) -> tuple[int, ...]:
@@ -143,7 +148,9 @@ def validate_situation(game: SPGame, sit: Situation) -> None:
 
 def effective_cost(arcs, weights) -> Cost:
     """Sum of `weights` over an arc sequence (exact): an `int` when every
-    weight summed is one."""
+    weight summed is one.  A `Metric` is summed on its integer image."""
+    if type(weights) is Metric:
+        return weights.value(sum(map(weights.ints.__getitem__, arcs)))
     return sum(weights[e] for e in arcs)
 
 
@@ -213,15 +220,13 @@ class ValidationReport:
 
 
 def positive_costs(game: SPGame) -> CheckResult:
-    """The `positive_costs` row of `validate`: one pass over the arcs.  A
-    `Fraction`'s sign is its numerator's, read without `Fraction`'s own
-    comparison with 0; other costs are compared as they are."""
-    bad = [
-        e
-        for e, (a, b) in enumerate(zip(game.r1, game.r2))
-        if (a.numerator if type(a) is Fraction else a) <= 0
-        or (b.numerator if type(b) is Fraction else b) <= 0
-    ]
+    """The `positive_costs` row of `validate`: a cost's sign is its
+    image's, so a `min` over each int column decides it, and only a
+    failing game's arcs are walked."""
+    r1, r2 = game.r1.ints, game.r2.ints
+    bad = []
+    if min(r1, default=1) <= 0 or min(r2, default=1) <= 0:
+        bad = [e for e, (a, b) in enumerate(zip(r1, r2)) if a <= 0 or b <= 0]
     return CheckResult(
         "positive_costs",
         not bad,
@@ -303,7 +308,9 @@ def normalize_with_maps(game: SPGame, bipartize: bool = False):
     from the input game to the result.  `vmap` has an entry for every
     surviving vertex; `amap` has one for every surviving arc, arcs into
     merged-away terminals included, and sends a split arc to its first
-    half."""
+    half.  A game with one terminal, no vertex the start cannot reach and,
+    with `bipartize`, no arc between two vertices of one player comes back
+    as it is, with identity maps."""
     g = game.graph
     owner = game.owner
     ts = game.terminals
@@ -314,6 +321,11 @@ def normalize_with_maps(game: SPGame, bipartize: bool = False):
     seen = reachable_from(g, game.start)
     if not any(owner[u] == TERMINAL for u in seen):
         raise NoTerminalPath("no terminal vertex is reachable from the start")
+    tails, heads = g.tails, g.heads
+    if len(ts) == 1 and len(seen) == g.n and not (
+        bipartize and any(owner[u] == owner[v] for u, v in zip(tails, heads))
+    ):
+        return game, dict(enumerate(range(g.n))), dict(enumerate(range(g.m)))
     t0 = game.start if game.start in ts else ts[0]
     names = list(game.names)
     if len(ts) > 1:
@@ -336,14 +348,15 @@ def normalize_with_maps(game: SPGame, bipartize: bool = False):
     new_owner = [owner[u] for u in vmap]
     new_names = [names[u] for u in vmap]
     taken = set(new_names) if bipartize else None  # names midpoints avoid
-    tails, heads = [], []
-    r1, r2 = [], []
+    new_tails, new_heads = [], []
+    source = []  # per new arc, the input arc it comes from; ~e: half of e
+    split = False
     amap = {}
-    for e, (u, v, c1, c2) in enumerate(zip(g.tails, g.heads, game.r1, game.r2)):
+    for e, (u, v) in enumerate(zip(tails, heads)):
         a, b = index[u], index[v]
         if a < 0:
             continue
-        amap[e] = len(tails)
+        amap[e] = len(new_tails)
         # tails are never terminals, so equal owners mean one player moves twice
         if bipartize and new_owner[a] == new_owner[b]:
             mid = len(new_owner)
@@ -354,25 +367,34 @@ def normalize_with_maps(game: SPGame, bipartize: bool = False):
                 mname += "*"
             taken.add(mname)
             new_names.append(mname)
-            half1, half2 = _exact(Fraction(c1, 2)), _exact(Fraction(c2, 2))
-            tails += (a, mid)
-            heads += (mid, b)
-            r1 += (half1, half1)
-            r2 += (half2, half2)
+            new_tails += (a, mid)
+            new_heads += (mid, b)
+            source += (~e, ~e)
+            split = True
         else:
-            tails.append(a)
-            heads.append(b)
-            r1.append(c1)
-            r2.append(c2)
+            new_tails.append(a)
+            new_heads.append(b)
+            source.append(e)
     out = SPGame(
-        Digraph.from_columns(len(new_owner), tails, heads),
+        Digraph.from_columns(len(new_owner), new_tails, new_heads),
         tuple(new_owner),
         vmap[game.start],
-        tuple(r1),
-        tuple(r2),
+        _compressed(game.r1, source, split),
+        _compressed(game.r2, source, split),
         tuple(new_names),
     )
     return out, vmap, amap
+
+
+def _compressed(metric: Metric, source, split: bool) -> Metric:
+    """`metric` on the arcs `source` lists; if `split`, `~e` stands for
+    half of arc `e`, and the scale doubles."""
+    if not split:
+        ints = metric.ints
+        return Metric.reduced([ints[e] for e in source], metric.scale)
+    scale, ints = integer_image(metric)
+    halved = [2 * ints[e] if e >= 0 else ints[~e] for e in source]
+    return Metric.reduced(halved, 2 * scale)
 
 
 def normalize(game: SPGame, bipartize: bool = False) -> SPGame:

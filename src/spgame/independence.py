@@ -94,6 +94,9 @@ class IndependenceOracle:
             flip = isinstance(rule, DualRule) and rule.ground == frozenset(arcs)
             inner = rule.inner if flip else rule
             if arcs and isinstance(inner, BudgetRule):
+                missing = [e for e in arcs if e not in inner.costs]
+                if missing:
+                    raise InputError(f"vertex {u}: budget costs missing arcs {missing}")
                 costs = [*map(inner.costs.__getitem__, arcs), inner.budget]
                 scale[u], ints = integer_image(costs)
                 for e, w in zip(arcs, ints):

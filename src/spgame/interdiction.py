@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Any, Mapping
 
-from .costs import INF, Cost, _exact, is_finite
+from .costs import INF, Cost, Metric, _exact, is_finite
 from .dijkstra import (
     Potentials,
     dist_to_target,
@@ -44,16 +44,20 @@ from .transform import reduce_costs
 
 @dataclass(frozen=True)
 class InterdictionGame:
+    """`r1` and `r2` are `Metric`s, as in `SPGame`."""
+
     graph: Digraph
     start: int
     terminal: int
-    r1: tuple[Cost, ...]
-    r2: tuple[Cost, ...]
+    r1: Metric
+    r2: Metric
     oracle: IndependenceOracle
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
         g = self.graph
+        object.__setattr__(self, "r1", Metric.of(self.r1))
+        object.__setattr__(self, "r2", Metric.of(self.r2))
         if g.out[self.terminal]:
             raise InputError("terminal vertex has outgoing arcs")
         for u in range(g.n):
@@ -61,8 +65,9 @@ class InterdictionGame:
                 raise InputError(f"vertex {u} is a sink but not the terminal")
         if len(self.r1) != g.m or len(self.r2) != g.m:
             raise InputError("cost list length does not match arc count")
-        if min(self.r1, default=1) <= 0 or min(self.r2, default=1) <= 0:
-            e = next(e for e in range(g.m) if self.r1[e] <= 0 or self.r2[e] <= 0)
+        r1, r2 = self.r1.ints, self.r2.ints
+        if min(r1, default=1) <= 0 or min(r2, default=1) <= 0:
+            e = next(e for e in range(g.m) if r1[e] <= 0 or r2[e] <= 0)
             raise InputError(f"non-positive cost on arc {e}")
         if self.oracle.graph is not g:
             raise InputError("oracle is bound to a different graph")
@@ -71,7 +76,7 @@ class InterdictionGame:
                 self, "names", tuple(f"v{u}" for u in range(g.n))
             )
 
-    def cost(self, player: int) -> tuple[Cost, ...]:
+    def cost(self, player: int) -> Metric:
         return self.r1 if player == PLAYER1 else self.r2
 
     def name(self, u: int) -> str:
@@ -167,35 +172,37 @@ def interdiction_cost(
     Conversely every arc of a common optimum is common, since each of its
     suffixes is itself shortest.  Every vertex u such a path visits has
     fwd_i(u) + back_i(u) = back_i(s), so there the common arcs are exactly
-    the arcs on some shortest (s, t)-path in both metrics."""
+    the arcs on some shortest (s, t)-path in both metrics.
+
+    Distances and sums run on the metrics' integer images; the two costs
+    are made exact on return."""
     g = game.graph
     s, t = game.start, game.terminal
+    r1, r2 = game.r1.ints, game.r2.ints
     arcs = playable_arcs(game, sit)
     ok = arcs.__contains__
-    back1 = dist_to_target(g, t, game.r1, arc_ok=ok)
+    back1 = dist_to_target(g, t, r1, arc_ok=ok)
     if not is_finite(back1[s]):
         return INF, INF, None
-    back2 = dist_to_target(g, t, game.r2, arc_ok=ok)
+    back2 = dist_to_target(g, t, r2, arc_ok=ok)
     common = set()
     for e in arcs:
         u, v = g.tails[e], g.heads[e]
         if (
             is_finite(back1[v])
-            and back1[u] == game.r1[e] + back1[v]
+            and back1[u] == r1[e] + back1[v]
             and is_finite(back2[v])
-            and back2[u] == game.r2[e] + back2[v]
+            and back2[u] == r2[e] + back2[v]
         ):
             common.add(e)
     on_common = common.__contains__
-    dist = dist_to_target(g, t, game.r1, arc_ok=on_common)
+    dist = dist_to_target(g, t, r1, arc_ok=on_common)
     if not is_finite(dist[s]):
         return INF, INF, None
-    p = tight_path(g, s, t, game.r1, dist, arc_ok=on_common)
-    c1 = effective_cost(p, game.r1)
-    c2 = effective_cost(p, game.r2)
-    if c1 != back1[s] or c2 != back2[s]:
+    p = tight_path(g, s, t, r1, dist, arc_ok=on_common)
+    if sum([r1[e] for e in p]) != back1[s] or sum([r2[e] for e in p]) != back2[s]:
         raise InternalInvariantError("extracted path is not optimal for both")
-    return c1, c2, p
+    return game.r1.value(back1[s]), game.r2.value(back2[s]), p
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +289,21 @@ def solve_interdiction(game: InterdictionGame) -> InterdictionNEResult:
     described in `InterdictionNEResult`."""
     g = game.graph
     s, t = game.start, game.terminal
-    pot2 = interdicted_distances(g, t, game.r2, game.oracle, check=True)
+    # sweeps and reduced costs on the integer images
+    r1, r2 = game.r1.image, game.r2.image
+    pot2 = interdicted_distances(g, t, r2, game.oracle, check=True)
     if is_finite(pot2[s]):
         removed, offered, p = _one_sided_strategies(
-            g, s, t, game.oracle, game.r2, game.r1, pot2
+            g, s, t, game.oracle, r2.ints, r1.ints, pot2
         )
         cert: dict[str, Any] = {"method": "one-sided", "branch": "primal"}
         return _certified(game, removed, offered, p, cert)
 
     dual = game.oracle.dual()
-    potd = interdicted_distances(g, t, game.r1, dual, check=True)
+    potd = interdicted_distances(g, t, r1, dual, check=True)
     if is_finite(potd[s]):
         dremoved, doffered, p = _one_sided_strategies(
-            g, s, t, dual, game.r1, game.r2, potd
+            g, s, t, dual, r1.ints, r2.ints, potd
         )
         removed = {
             u: frozenset(g.out[u]) - doffered[u] for u in dremoved

@@ -3,7 +3,8 @@
 A plain game file carries owned vertices, arcs with two costs, and a start
 vertex; an interdiction game file adds a terminal and per-vertex oracle
 specs and drops owners.  Costs are integers or exact decimal/fraction
-strings; floats are rejected.  Arc order in the file is the arc index, the
+strings; floats are rejected.  Each cost column is read straight into its
+integer image (`Metric`).  Arc order in the file is the arc index, the
 package-wide tie-breaker, so identical files give identical results.
 """
 
@@ -16,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Mapping
 
 from ._gc import paused
-from .costs import INF, Cost, cost_to_json, integer_image, parse_cost
+from .costs import INF, Cost, Metric, cost_to_json, parse_cost, parse_ratios
 from .dijkstra import Potentials
 from .errors import InputError, InternalInvariantError
 from .game import PLAYER1, PLAYER2, TERMINAL, Play, SPGame, Situation
@@ -81,7 +82,7 @@ def _vertex_index(index, value) -> int | None:
     return None if value is None else index.get(str(value))
 
 
-def _arc_table(obj, index) -> tuple[list[int], list[int], list[Cost], list[Cost]]:
+def _arc_table(obj, index) -> tuple[list[int], list[int], Metric, Metric]:
     """The arc rows as four columns: tails, heads, r1 and r2.  Each check
     runs over a whole column; only when one fails are the rows walked one
     by one, to raise the error of the first bad row."""
@@ -97,7 +98,7 @@ def _arc_table(obj, index) -> tuple[list[int], list[int], list[Cost], list[Cost]
 
 def _arc_columns(arcs, index):
     """`_arc_table`'s columns, or None if a bulk check fails."""
-    if not all(isinstance(row, dict) for row in arcs):
+    if not set(map(type, arcs)) <= {dict}:
         return None
     ids = [row.get("id", pos) for pos, row in enumerate(arcs)]
     # exact ints at their positions; ids written as strings take the
@@ -117,30 +118,10 @@ def _arc_columns(arcs, index):
         heads = [index[str(v)] for v in heads]
     except KeyError:
         return None
-    costs = _cost_columns(r1, r2)
-    if costs is None:
+    ratio = parse_ratios(r1, r2)
+    if ratio is None:
         return None
-    return tails, heads, *costs
-
-
-def _cost_columns(*columns) -> list[list[Cost]] | None:
-    """Each column of JSON costs parsed by `parse_cost`, or None if some
-    value is not an int or a string or does not parse."""
-    # the type of every value, not of a set of the values: {1, True} keeps
-    # only 1, and parse_cost must see True to reject it
-    if not set().union(*(map(type, col) for col in columns)) <= {int, str}:
-        return None
-    # ints and strings never compare equal, so each distinct string is
-    # parsed once
-    try:
-        parsed = {
-            c: c if type(c) is int else parse_cost(c)
-            for c in set().union(*columns)
-        }
-    except InputError:
-        return None
-    cost = parsed.__getitem__
-    return [list(map(cost, col)) for col in columns]
+    return tails, heads, Metric.from_ratios(r1, ratio), Metric.from_ratios(r2, ratio)
 
 
 def _int_column(values) -> list[int] | None:
@@ -193,8 +174,8 @@ def game_from_json(obj: Mapping) -> SPGame:
         Digraph.from_columns(len(names), tails, heads),
         tuple(owner),
         start,
-        tuple(r1),
-        tuple(r2),
+        r1,
+        r2,
         tuple(names),
     )
 
@@ -210,10 +191,10 @@ def game_to_json(game: SPGame) -> dict:
                 "id": e,
                 "tail": game.names[game.graph.tails[e]],
                 "head": game.names[game.graph.heads[e]],
-                "r1": cost_to_json(game.r1[e]),
-                "r2": cost_to_json(game.r2[e]),
+                "r1": cost_to_json(c1),
+                "r2": cost_to_json(c2),
             }
-            for e in range(game.graph.m)
+            for e, (c1, c2) in enumerate(zip(game.r1, game.r2))
         ],
         "start": game.names[game.start],
     }
@@ -362,16 +343,17 @@ def _oracle_columns(rows, graph, index) -> IndependenceOracle | None:
 def _budget_columns(rows, budget, us, graph, cap):
     """`(weight, scale)` for `_oracle_columns`, with the budget rows at
     positions `budget` written into `cap` and the weight column: their
-    `costs` tables' keys converted as one column, their costs and budgets
-    parsed as two.  None if a check fails."""
+    `costs` tables' keys converted as one column, and their costs and
+    budgets parsed as two (`parse_ratios`), each vertex's costs and budget
+    then scaled by the LCM of their denominators.  None if a check fails."""
     tables = [rows[pos].get("costs") for pos in budget]
-    budgets = _cost_columns([rows[pos].get("budget") for pos in budget])
-    if budgets is None or not set(map(type, tables)) <= {dict}:
+    budgets = [rows[pos].get("budget") for pos in budget]
+    if not set(map(type, tables)) <= {dict}:
         return None
     owners = [us[pos] for pos in budget]
     arcs = [graph.out[u] for u in owners]
     keys = list(chain.from_iterable(tables))
-    costs = _cost_columns(list(chain.from_iterable(map(dict.values, tables))))
+    costs = list(chain.from_iterable(map(dict.values, tables)))
     # each table keyed by its vertex's arcs in order, as `interdiction_to_json`
     # writes them, or else every key an arc out of its row's vertex and
     # every such arc a key
@@ -387,23 +369,26 @@ def _budget_columns(rows, budget, us, graph, cap):
             return None
         if len(set(keys)) != len(flat):
             return None
-    if costs is None:
+    # every cost parsed, also one a later equal key overrides
+    ratio = parse_ratios(costs, budgets)
+    if ratio is None:
         return None
     weight = [1] * graph.m
-    for e, c in zip(keys, costs[0]):  # the later of two equal keys wins
+    for e, c in zip(keys, costs):  # the later of two equal keys wins
         weight[e] = c
+    scale = dict.fromkeys(owners, 1)
+    if not ratio:  # ints only: every scale is 1
+        for u, b in zip(owners, budgets):
+            cap[u] = b
+    else:
+        for u, b in zip(owners, budgets):
+            out = graph.out[u]
+            image = Metric.from_ratios([*map(weight.__getitem__, out), b], ratio)
+            for e, w in zip(out, image.ints):
+                weight[e] = w
+            cap[u], scale[u] = image.ints[-1], image.scale
     if flat and min(map(weight.__getitem__, flat)) <= 0:
         return None
-    scale = dict.fromkeys(owners, 1)
-    for u, b in zip(owners, budgets[0]):
-        cap[u] = b
-    if set(map(type, chain(costs[0], budgets[0]))) <= {int}:
-        return weight, scale
-    for u, b in zip(owners, budgets[0]):
-        scale[u], ints = integer_image([*map(weight.__getitem__, graph.out[u]), b])
-        for e, w in zip(graph.out[u], ints):
-            weight[e] = w
-        cap[u] = ints[-1]
     return weight, scale
 
 
@@ -438,8 +423,8 @@ def interdiction_from_json(obj: Mapping) -> InterdictionGame:
         graph,
         ends["start"],
         ends["terminal"],
-        tuple(r1),
-        tuple(r2),
+        r1,
+        r2,
         oracle,
         tuple(names),
     )

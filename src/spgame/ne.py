@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._gc import paused
-from .costs import Cost, divide_back, integer_image, is_finite
+from .costs import Cost, divide_back, is_finite
 from .dijkstra import (
     Potentials,
     dist_to_target,
@@ -98,14 +98,14 @@ def _response_arcs(game: SPGame, player: int, fixed_sigma) -> list[bool]:
 
 
 def response_distances(game: SPGame, player: int, fixed_sigma) -> list:
-    """Shortest distance in `player`'s costs from every vertex to the
-    terminal when the opponent's vertices are fixed to `fixed_sigma`: the
-    best `player` can do from each vertex against that strategy.  With
-    positive costs an optimal play is a simple path, so a positional
-    strategy attains it."""
+    """Shortest distance in `player`'s costs, on their integer image, from
+    every vertex to the terminal when the opponent's vertices are fixed to
+    `fixed_sigma`: the best `player` can do from each vertex against that
+    strategy.  With positive costs an optimal play is a simple path, so a
+    positional strategy attains it."""
     allowed = _response_arcs(game, player, fixed_sigma)
     return dist_to_target(
-        game.graph, game.terminal, game.cost(player), arc_ok=allowed.__getitem__
+        game.graph, game.terminal, game.cost(player).ints, arc_ok=allowed.__getitem__
     )
 
 
@@ -113,7 +113,8 @@ def best_response_value(game: SPGame, sit: Situation, player: int) -> Cost:
     """Cheapest cost `player` can achieve from the start against the fixed
     opponent part of `sit`."""
     fixed = sit.sigma2 if player == PLAYER1 else sit.sigma1
-    return response_distances(game, player, fixed)[game.start]
+    distance = response_distances(game, player, fixed)[game.start]
+    return game.cost(player).value(distance)
 
 
 def verify_ne_by_distances(game: SPGame, sit: Situation) -> bool:
@@ -334,10 +335,17 @@ def terminal_ne_against_forcer(
     strong player moves along arcs of zero reduced cost inside U; the weak
     player answers with their own cheapest path against that strategy,
     deviates onto zero arcs off the play, and stays inside B if the play is
-    ever pushed there."""
+    ever pushed there.  `pot`, if given, holds those distances on the
+    strong metric's integer image, as `solve` sweeps them; the certificate
+    holds them divided back."""
     m = opponent(weak_player)  # the player whose metric drives the region
     if pot is None:
-        pot = shortest_longest_distances(game, m)
+        pot = interdicted_distances(
+            game.graph,
+            game.terminal,
+            game.cost(m).image,
+            sp_blocking_oracle(game, weak_player),
+        )
     g = game.graph
     t = game.terminal
     s = game.start
@@ -353,7 +361,7 @@ def terminal_ne_against_forcer(
         for e in range(g.m)
         if g.tails[e] in U and g.heads[e] in U
     ]
-    red = reduce_costs(g, game.cost(m), pot.potential, scope)
+    red = reduce_costs(g, game.cost(m).ints, pot.potential, scope)
 
     def zero_arc(u: int) -> int:
         return next(
@@ -369,7 +377,8 @@ def terminal_ne_against_forcer(
     # the play is the weak player's cheapest path against sigma_m; these are
     # `response_distances`, with the arc mask kept for the path extraction
     allowed = _response_arcs(game, weak_player, sigma_m).__getitem__
-    weights = game.cost(weak_player)
+    metric = game.cost(weak_player)
+    weights = metric.ints
     wdist = dist_to_target(g, t, weights, arc_ok=allowed)
     if not is_finite(wdist[s]):
         raise InternalInvariantError(
@@ -397,10 +406,10 @@ def terminal_ne_against_forcer(
     cert = {
         "method": "one-sided",
         "weak_player": weak_player,
-        "potential": pot.potential,
+        "potential": divide_back(pot.potential, game.cost(m).scale),
         "infinite_region": tuple(sorted(B)),
     }
-    return _certified(game, sit, cert, {weak_player: wdist[s]})
+    return _certified(game, sit, cert, {weak_player: metric.value(wdist[s])})
 
 
 @paused
@@ -410,40 +419,17 @@ def solve(game: SPGame) -> NEResult:
     forcing strategies.  The sweeps run without `verify_potentials`; the
     best-response check certifies the result instead.
 
-    Like every sweep, the construction and its check run on the game's
-    integer image (`integer_image`), which has the same equilibria, heap
-    order and tie-breaks.  The result keeps the image's situation; its
-    play and costs are `play_of` on `game`, required to equal the image's
-    costs divided by the scales, and the certificate's potential is
-    divided by the strong metric's scale (`divide_back`)."""
-    (scale1, r1), (scale2, r2) = integer_image(game.r1), integer_image(game.r2)
-    image = SPGame(game.graph, game.owner, game.start, r1, r2, game.names)
-    res = _construct(image)
-    play = play_of(game, res.situation)
-    if play.cost1 * scale1 != res.cost1 or play.cost2 * scale2 != res.cost2:
-        raise InternalInvariantError(
-            f"costs ({play.cost1}, {play.cost2}) do not scale to the integer "
-            f"image's ({res.cost1}, {res.cost2})"
-        )
-    certificate = res.certificate
-    if "potential" in certificate:
-        scale = scale2 if certificate["weak_player"] == PLAYER1 else scale1
-        potential = divide_back(certificate["potential"], scale)
-        certificate = {**certificate, "potential": potential}
-    return NEResult(
-        res.kind, res.situation, play, play.cost1, play.cost2, certificate
-    )
-
-
-def _construct(game: SPGame) -> NEResult:
-    """`solve`'s case analysis, on any exact game."""
+    The sweeps, distances and paths run on the metrics' integer images
+    (`Metric.ints`), which have the same equilibria, heap order and
+    tie-breaks; exact values are made once, for the play's costs and the
+    certificate's potential."""
     pots = {}
     for weak in (PLAYER2, PLAYER1):
         strong = opponent(weak)
         pot = pots[strong] = interdicted_distances(
             game.graph,
             game.terminal,
-            game.cost(strong),
+            game.cost(strong).image,
             sp_blocking_oracle(game, weak),
             check=False,
         )

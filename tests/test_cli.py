@@ -403,17 +403,6 @@ def test_phi_interdiction_metrics_and_dual(capsys, interdict):
     assert json.loads(out)["phi"]["t"] == 0
 
 
-def test_phi_backend_flag(capsys, interdict):
-    # deprecated no-op; "native" fails as it did wherever it was not built
-    _, plain, _ = run(capsys, "phi", interdict)
-    for backend in ("python", "auto"):
-        code, out, _ = run(capsys, "phi", interdict, "--backend", backend)
-        assert code == 0 and out == plain
-    code, out, err = run(capsys, "phi", interdict, "--backend", "native")
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "InputError"
-
-
 @pytest.mark.parametrize(
     "rule, field",
     [
@@ -674,40 +663,6 @@ def test_normalize_bipartize(capsys, tmp_path):
     assert len(written["vertices"]) == 4
     owners = {v["id"]: v["owner"] for v in written["vertices"]}
     assert any(o == "P2" for o in owners.values())
-
-
-def test_bench_smoke(capsys):
-    code, out, _ = run(
-        capsys, "bench", "--edges", "300", "--repeats", "1", "--seed", "7"
-    )
-    assert code == 0
-    row = json.loads(out)["results"][0]
-    assert row["vertices"] > 0 and row["edges"] > 0
-    assert row["python_ms"] >= 0
-
-
-LIST = "expected comma-separated positive integers"
-ONE = "expected a positive integer"
-
-
-@pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--edges", "x", LIST),
-        ("--edges", "-5", LIST),
-        ("--edges", "300,0", LIST),
-        ("--repeats", "0", ONE),
-        ("--repeats", "x", ONE),
-    ],
-)
-def test_bench_bad_arguments_are_usage_errors(capsys, flag, value, message):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", flag, value])
-    out, err = capsys.readouterr()
-    assert exc.value.code == 2 and out == ""
-    assert err.splitlines()[-1] == (
-        f"spgame bench: error: argument {flag}: {message}, got {value!r}"
-    )
 
 
 def outcome(capsys, argv):

@@ -104,7 +104,7 @@ def test_integer_image_rejects_floats():
 
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 # ASCII and other Unicode decimal digits, "²" (a digit but not decimal),
 # and every character of another spelling `Fraction` parses
@@ -147,3 +147,66 @@ def test_parse_cost_strings_match_fraction(value):
         got = "reject"
     want = fraction_reference(value)
     assert type(got) is type(want) and got == want
+
+
+# JSON costs: strings over COST_CHARS, most of which do not parse, and ints
+JSON_COSTS = st.text(st.sampled_from(COST_CHARS), max_size=8) | st.integers(
+    -(10**6), 10**6
+)
+
+
+def chain_game(r1, r2):
+    """A plain game file: one arc per cost pair, along a path to `t`."""
+    n = len(r1)
+    heads = [f"v{u}" for u in range(1, n)] + ["t"]
+    return {
+        "vertices": [{"id": f"v{u}", "owner": "P1"} for u in range(n)]
+        + [{"id": "t", "owner": "T"}],
+        "arcs": [
+            {"id": e, "tail": f"v{e}", "head": heads[e], "r1": a, "r2": b}
+            for e, (a, b) in enumerate(zip(r1, r2))
+        ],
+        "start": "v0",
+    }
+
+
+# no deadline: `Fraction` reads an exponent such as "0e999999" by building
+# 10**999999, a third of a second, and a failing file is parsed three times
+@settings(deadline=None)
+@given(
+    st.lists(JSON_COSTS, min_size=1, max_size=8).flatmap(
+        lambda r1: st.tuples(
+            st.just(r1), st.lists(JSON_COSTS, min_size=len(r1), max_size=len(r1))
+        )
+    )
+)
+@example((["1/2", "3", "0.25", "007.250"], [7, "14/2", "1e1", " 5 "]))
+@example((["+5", "1_0/2"], ["7.0", "2/3"]))
+@example((["1/3", "1/0"], ["1", "1"]))
+@example((["2", "x"], [True, "1"]))
+def test_loader_reads_each_metric_as_its_integer_image(columns):
+    """Each metric loads as `ints[e] == parse_cost(v) * scale`, with the
+    scale `integer_image` gives the parsed values, or the load raises the
+    row-by-row loader's error for the first bad row."""
+    from spgame.jsonio import game_from_json
+
+    r1, r2 = columns
+    parsed, error = ([], []), None
+    for pos, (a, b) in enumerate(zip(r1, r2)):
+        try:
+            parsed[0].append(parse_cost(a))
+            parsed[1].append(parse_cost(b))
+        except InputError as exc:
+            error = f"arc {pos}: bad cost ({exc})"
+            break
+    if error is not None:
+        with pytest.raises(InputError) as got:
+            game_from_json(chain_game(r1, r2))
+        assert str(got.value) == error
+        return
+    game = game_from_json(chain_game(r1, r2))
+    for metric, values in zip((game.r1, game.r2), parsed):
+        scale, _ = integer_image(values)
+        assert metric.scale == scale
+        assert [type(c) for c in metric.ints] == [int] * len(values)
+        assert list(metric.ints) == [v * scale for v in values]

@@ -177,7 +177,6 @@ def test_cli_makes_no_cyclic_garbage(capsys, tmp_path):
         ["reduce", INTERDICT, "-o", out, "--mapping", str(tmp_path / "map.json")],
         ["search", CHAIN],
         ["normalize", str(DATA / "mixed.json"), "--bipartize", "-o", out],
-        ["bench", "--edges", "200", "--repeats", "1"],
     ):
         assert cli.main(argv) == 0, argv
         gc.collect()

@@ -86,6 +86,19 @@ def test_oracle_requires_rule_per_branching_vertex():
         IndependenceOracle(fan(2), {})
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        BudgetRule({0: 1}, 0),
+        DualRule(BudgetRule({0: 1}, 0), frozenset({0, 1})),
+    ],
+)
+def test_budget_rule_missing_arc_costs_is_input_error(rule):
+    message = r"^vertex 0: budget costs missing arcs \[1\]$"
+    with pytest.raises(InputError, match=message):
+        IndependenceOracle(fan(2), {0: rule})
+
+
 def test_oracle_rejects_foreign_arcs():
     orc = cardinality_oracle(fan(3), 1)
     with pytest.raises(InvalidSubset):
