@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._gc import paused
-from .costs import Cost, divide_back, is_finite
+from .costs import INF, Cost, divide_back, is_finite
 from .dijkstra import (
     Potentials,
     dist_to_target,
@@ -131,20 +131,25 @@ def _certified(
     game: SPGame, sit: Situation, certificate: dict, known: dict | None = None
 ) -> NEResult:
     """The one place results are built: trace the play, then require that
-    neither player has a cheaper best response.  `known` holds best-response
-    values the construction already took from `response_distances` against
-    `sit`.  A terminal play's arcs are recorded as the certificate's path."""
+    neither player has a cheaper best response, comparing sums of the
+    integer images.  `known` holds best-response values the construction
+    already took from `response_distances` against `sit`.  A terminal
+    play's arcs are recorded as the certificate's path."""
     play = play_of(game, sit)
     known = known or {}
-    for player in (PLAYER1, PLAYER2):
+    for player, fixed in ((PLAYER1, sit.sigma2), (PLAYER2, sit.sigma1)):
+        metric = game.cost(player)
         if player in known:
             best = known[player]
         else:
-            best = best_response_value(game, sit, player)
-        if best < play.cost(player):
+            best = response_distances(game, player, fixed)[game.start]
+        cost = INF
+        if play.is_terminal:
+            cost = sum(map(metric.ints.__getitem__, play.arcs))
+        if best < cost:
             raise InternalInvariantError(
                 f"player {player} can deviate from cost {play.cost(player)} "
-                f"to {best}"
+                f"to {metric.value(best)}"
             )
     if not play.is_terminal:
         kind = "cyclic"
@@ -377,8 +382,7 @@ def terminal_ne_against_forcer(
     # the play is the weak player's cheapest path against sigma_m; these are
     # `response_distances`, with the arc mask kept for the path extraction
     allowed = _response_arcs(game, weak_player, sigma_m).__getitem__
-    metric = game.cost(weak_player)
-    weights = metric.ints
+    weights = game.cost(weak_player).ints
     wdist = dist_to_target(g, t, weights, arc_ok=allowed)
     if not is_finite(wdist[s]):
         raise InternalInvariantError(
@@ -409,7 +413,7 @@ def terminal_ne_against_forcer(
         "potential": divide_back(pot.potential, game.cost(m).scale),
         "infinite_region": tuple(sorted(B)),
     }
-    return _certified(game, sit, cert, {weak_player: metric.value(wdist[s])})
+    return _certified(game, sit, cert, {weak_player: wdist[s]})
 
 
 @paused
