@@ -202,11 +202,6 @@ class Metric:
             return tuple(self) + tuple(other)
         return NotImplemented
 
-    def __radd__(self, other):
-        if isinstance(other, tuple):
-            return other + tuple(self)
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"Metric({tuple(self)!r})"
 

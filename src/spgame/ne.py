@@ -18,7 +18,7 @@ directly from the two maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ._gc import paused
 from .costs import INF, Cost, divide_back, is_finite
@@ -340,17 +340,21 @@ def terminal_ne_against_forcer(
     strong player moves along arcs of zero reduced cost inside U; the weak
     player answers with their own cheapest path against that strategy,
     deviates onto zero arcs off the play, and stays inside B if the play is
-    ever pushed there.  `pot`, if given, holds those distances on the
-    strong metric's integer image, as `solve` sweeps them; the certificate
-    holds them divided back."""
-    m = opponent(weak_player)  # the player whose metric drives the region
+    ever pushed there.  `pot`, if given, holds those distances as
+    `shortest_longest_distances` returns them."""
+    m = opponent(weak_player)
     if pot is None:
-        pot = interdicted_distances(
-            game.graph,
-            game.terminal,
-            game.cost(m).image,
-            sp_blocking_oracle(game, weak_player),
-        )
+        pot = shortest_longest_distances(game, m)
+    scale = game.cost(m).scale
+    image = [v if v == INF else int(v * scale) for v in pot.potential]
+    return _one_sided(game, weak_player, replace(pot, potential=tuple(image)))
+
+
+def _one_sided(game: SPGame, weak_player: int, pot: Potentials) -> NEResult:
+    """`terminal_ne_against_forcer` with `pot` on the strong metric's
+    integer image, as `solve` sweeps it; the certificate holds it divided
+    back."""
+    m = opponent(weak_player)  # the player whose metric drives the region
     g = game.graph
     t = game.terminal
     s = game.start
@@ -438,7 +442,7 @@ def solve(game: SPGame) -> NEResult:
             check=False,
         )
         if is_finite(pot[game.start]):
-            return terminal_ne_against_forcer(game, weak, pot)
+            return _one_sided(game, weak, pot)
     pot1, pot2 = pots[PLAYER1], pots[PLAYER2]
     sit = Situation(
         _forcing_strategy(game, pot2, PLAYER1),

@@ -374,3 +374,15 @@ def test_certificate_rejects_or_verifies_under_faulty_sweep(faulty_sweep):
             assert res.certificate["path"] == play.arcs
         outcomes["verified"] += 1
     assert outcomes["rejected"] and outcomes["verified"], outcomes
+
+
+def test_one_sided_takes_the_potentials_it_is_documented_to(data_dir):
+    # `pot` holds exact distances, as `shortest_longest_distances` gives
+    # them, also on a game whose metrics have scales 168 and 180
+    game = load_path(str(data_dir / "mixed.json"))
+    assert (game.r1.scale, game.r2.scale) == (168, 180)
+    for weak in (PLAYER1, PLAYER2):
+        pot = shortest_longest_distances(game, opponent(weak))
+        given = terminal_ne_against_forcer(game, weak, pot)
+        assert given == terminal_ne_against_forcer(game, weak)
+        assert given.certificate["potential"] == pot.potential
