@@ -140,14 +140,19 @@ class Metric:
     @classmethod
     def from_ratios(cls, values, ratio: dict) -> "Metric":
         """The metric of JSON costs `values`, split by `ratio` (see
-        `parse_ratios`), scaled by the LCM of their denominators.  Arcs
-        of equal cost share one int, made once per distinct value."""
+        `parse_ratios`), scaled by the LCM of their denominators."""
         if not ratio:  # ints only
             return cls(tuple(values), 1)
-        split = {v: ratio[v] for v in set(values)}
-        scale = lcm(*{d for _, d in split.values()})
-        image = {v: n * (scale // d) for v, (n, d) in split.items()}
-        return cls(tuple(list(map(image.__getitem__, values))), scale)
+        if len(values) > 2 * len(ratio):
+            # costs repeat: arcs of equal cost share one int, made once
+            split = {v: ratio[v] for v in set(values)}
+            scale = lcm(*{d for _, d in split.values()})
+            image = {v: n * (scale // d) for v, (n, d) in split.items()}
+            return cls(tuple(list(map(image.__getitem__, values))), scale)
+        # mostly distinct costs: one pass per arc, no table of images
+        split = list(map(ratio.__getitem__, values))
+        scale = lcm(*{d for _, d in split})
+        return cls(tuple([n * (scale // d) for n, d in split]), scale)
 
     @classmethod
     def reduced(cls, ints, scale: int | None) -> "Metric":

@@ -183,6 +183,7 @@ def chain_game(r1, r2):
 @example((["1/2", "3", "0.25", "007.250"], [7, "14/2", "1e1", " 5 "]))
 @example((["+5", "1_0/2"], ["7.0", "2/3"]))
 @example((["1/3", "1/0"], ["1", "1"]))
+@example((["1/2"] * 5 + ["3/4"], ["1/3"] * 6))  # repeated costs
 @example((["2", "x"], [True, "1"]))
 def test_loader_reads_each_metric_as_its_integer_image(columns):
     """Each metric loads as `ints[e] == parse_cost(v) * scale`, with the
