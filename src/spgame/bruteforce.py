@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .costs import Cost, is_finite
 from .dijkstra import dist_to_target
-from .errors import CapExceeded
+from .errors import CapExceeded, InternalInvariantError
 from .game import (
     PLAYER1,
     PLAYER2,
@@ -229,7 +229,7 @@ def search_terminal_ne(
             ):
                 check = verify_ne(game, sit, cap=cap)
                 if not check.is_ne:
-                    raise AssertionError(
+                    raise InternalInvariantError(
                         "distance test accepted a situation the literal "
                         "verifier rejects"
                     )

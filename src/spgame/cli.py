@@ -164,6 +164,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_search(args) -> int:
     game = _load_plain(args.game)
+    _require_positive(game)
     res = bruteforce.search_terminal_ne(game, cap=args.cap)
     out = {
         "found": res.found,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import InputError
 
@@ -115,11 +115,13 @@ class Metric:
     (1 when every cost is integral).  Indexing and iteration read the
     exact costs, each made when it is read (`value`); the package's own
     loops read `ints`.  A metric equals a tuple or list of the same costs.
+    A sweep's potentials are a metric too, on its weights' scale (which
+    need not be their own LCM), with `INF` kept in `ints`.
 
     Costs that are not exact rationals (floats, built in code) are kept
     as given in `ints` with `scale` None: they read back as given and can
-    be checked for sign, but have no integer image, and `integer_image`
-    rejects them."""
+    be checked for sign, but have no integer image, and the sweep
+    (`dijkstra.interdicted_distances`) rejects them."""
 
     __slots__ = ("ints", "scale")
 
@@ -128,14 +130,21 @@ class Metric:
 
     @classmethod
     def of(cls, costs) -> "Metric":
-        """`costs` (ints and Fractions, or a Metric) as a Metric."""
+        """`costs` (ints and Fractions) scaled by the LCM of their
+        denominators, each image an `int`; a Metric and all-`int` costs come
+        back as they are, other costs (floats) as given, with scale None."""
         if type(costs) is cls:
             return costs
+        if set(map(type, costs)) <= {int}:
+            return cls(tuple(costs), 1)
         try:
-            scale, ints = integer_image(costs)
-        except InputError:
+            scale = lcm(*{c.denominator for c in costs})
+        except AttributeError:
             return cls(tuple(costs), None)
-        return cls(ints, scale)
+        # built from a list, not a generator: tuple(generator) regrows its
+        # buffer step by step, which left 100k-arc runs ~20 MB higher in RSS
+        ints = [c.numerator * (scale // c.denominator) for c in costs]
+        return cls(tuple(ints), scale)
 
     @classmethod
     def from_ratios(cls, values, ratio: dict) -> "Metric":
@@ -163,12 +172,6 @@ class Metric:
             if g > 1:
                 ints, scale = [c // g for c in ints], scale // g
         return cls(tuple(ints), scale)
-
-    @property
-    def image(self) -> "Metric":
-        """The integer image as a metric of its own, scale 1: what the
-        package's sweeps run on."""
-        return Metric(integer_image(self)[1], 1)
 
     def value(self, v):
         """The exact cost whose image is `v` (a sum of `ints`): an `int`
@@ -209,36 +212,6 @@ class Metric:
 
     def __repr__(self) -> str:
         return f"Metric({tuple(self)!r})"
-
-
-def integer_image(weights: Sequence) -> tuple[int, tuple[int, ...]]:
-    """`(scale, ints)`: `scale` is the LCM of the denominators of the
-    exact `weights`, and `ints[e] == weights[e] * scale`, each a plain
-    `int` (integral Fractions too); all-`int` weights come back as they
-    are, with scale 1, and a `Metric` gives its own columns in O(1).
-    Scaling a metric by a positive constant keeps every comparison and
-    tie between its sums."""
-    if type(weights) is Metric:
-        if weights.scale is None:
-            raise InputError("costs must be exact rationals or ints")
-        return weights.scale, weights.ints
-    if set(map(type, weights)) <= {int}:
-        return 1, tuple(weights)
-    try:
-        scale = lcm(*{c.denominator for c in weights})
-    except AttributeError:
-        raise InputError("costs must be exact rationals or ints") from None
-    # built from a list, not a generator: tuple(generator) regrows its
-    # buffer step by step, which left 100k-arc runs ~20 MB higher in RSS
-    return scale, tuple([c.numerator * (scale // c.denominator) for c in weights])
-
-
-def divide_back(values: Sequence, scale: int) -> Sequence:
-    """`values` of an integer image divided by its `scale`, integral
-    results as `int`; `INF` stays `INF`."""
-    if scale == 1:
-        return values
-    return tuple([_exact(Fraction(v, scale)) if v != INF else v for v in values])
 
 
 def cost_to_json(c: Cost):

@@ -23,10 +23,10 @@ are deterministic.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .costs import INF, Cost, divide_back, integer_image, is_finite
+from .costs import INF, Cost, Metric, is_finite
 from .errors import InputError, InternalInvariantError, InvalidSubset, OracleViolation
 from .graph import Digraph
 from .independence import IndependenceOracle, sp_blocking_oracle
@@ -36,24 +36,37 @@ from .independence import IndependenceOracle, sp_blocking_oracle
 class Potentials:
     """Result of a sweep: per-vertex worst-case distance to the target,
     per-vertex removal set the blocker builds, the arc whose key finalized
-    each finite vertex, and the finalization order."""
+    each finite vertex, and the finalization order.
+
+    `potential` is a `Metric`: a sweep's distances on its weights' integer
+    image and scale, `INF` where the blocker cuts the target off.
+    Indexing, iteration and `==` read exact values; potentials given as
+    exact values are imaged once, here."""
 
     target: int
-    potential: tuple[Cost, ...]
+    potential: Metric
     blocked: tuple[frozenset, ...]
     witness: tuple[int | None, ...]
     order: tuple[int, ...] = field(repr=False, default=())
 
+    def __post_init__(self):
+        phi = self.potential
+        if type(phi) is not Metric:
+            image = Metric.of([p for p in phi if is_finite(p)])
+            finite = iter(image.ints)
+            ints = tuple([next(finite) if is_finite(p) else INF for p in phi])
+            object.__setattr__(self, "potential", Metric(ints, image.scale))
+
     @property
     def infinite_vertices(self) -> frozenset:
         return frozenset(
-            u for u, p in enumerate(self.potential) if not is_finite(p)
+            u for u, p in enumerate(self.potential.ints) if not is_finite(p)
         )
 
     @property
     def finite_vertices(self) -> frozenset:
         return frozenset(
-            u for u, p in enumerate(self.potential) if is_finite(p)
+            u for u, p in enumerate(self.potential.ints) if is_finite(p)
         )
 
     def __getitem__(self, u: int) -> Cost:
@@ -106,7 +119,7 @@ def _sweep(graph, t, weights, oracle):
     removal = [frozenset()] * n
     for u, arcs in blocked.items():
         removal[u] = frozenset(arcs)
-    return potential, tuple(removal), witness, order
+    return potential, tuple(removal), tuple(witness), tuple(order)
 
 
 def interdicted_distances(
@@ -121,11 +134,10 @@ def interdicted_distances(
     non-negative exact rationals (zeros allowed).
 
     The sweep and `verify_potentials` run on the weights' integer image
-    (`integer_image`: a game's `Metric` gives its own in O(1), any other
-    sequence is imaged here), which has the same heap order, ties and
-    removal sets; finite potentials are divided back by its scale once,
-    on return.  The solvers pass `Metric.image`, of scale 1, and so get
-    the potentials on the image, with nothing divided.  Each
+    (`Metric.of`: a game's metric is its own, any other sequence is
+    imaged here), which has the same heap order, ties and removal sets;
+    the potentials are returned on that image, as a `Metric` of the same
+    scale (see `Potentials`), with nothing divided.  Each
     extraction costs a heap pop and, under cardinality and budget rules
     and their duals, one int subtraction from the vertex's remaining cap;
     under explicit rules and their duals, O(number of maximal sets)."""
@@ -134,15 +146,18 @@ def interdicted_distances(
     for u in range(graph.n):
         if u != t and not graph.out[u]:
             raise InputError(f"vertex {u} is a sink but not the target")
-    scale, ints = integer_image(weights)
+    weights = Metric.of(weights)
+    if weights.scale is None:
+        raise InputError("costs must be exact rationals or ints")
+    ints = weights.ints
     low = min(ints, default=0)
     if low < 0:
         raise InputError(f"negative weight on arc {ints.index(low)}")
     potential, blocked, witness, order = _sweep(graph, t, ints, oracle)
-    pot = Potentials(t, potential, blocked, tuple(witness), tuple(order))
+    pot = Potentials(t, Metric(potential, weights.scale), blocked, witness, order)
     if check:
-        verify_potentials(graph, t, ints, oracle, pot)
-    return replace(pot, potential=divide_back(potential, scale))
+        verify_potentials(graph, t, weights, oracle, pot)
+    return pot
 
 
 def verify_potentials(graph, t, weights, oracle, pot: Potentials) -> None:
@@ -153,8 +168,14 @@ def verify_potentials(graph, t, weights, oracle, pot: Potentials) -> None:
     arc attains it (the mover pays exactly phi(u) against D(u)), and the
     arcs costing at most phi(u) form a dependent set (no admissible removal
     forces the mover above phi(u)).  Independence is read off the oracle's
-    columns (`IndependenceOracle.admits`): two sums per vertex."""
-    phi = pot.potential
+    columns (`IndependenceOracle.admits`): two sums per vertex.  Sums are
+    compared on the integer image when the weights and the potentials
+    share a scale, as a sweep's do, and on exact values otherwise."""
+    weights, phi = Metric.of(weights), pot.potential
+    if weights.scale == phi.scale:
+        weights, phi = weights.ints, phi.ints
+    else:
+        weights, phi = tuple(weights), tuple(phi)
     if phi[t] != 0:
         raise InternalInvariantError("target potential must be zero")
     heads = graph.heads
@@ -199,7 +220,8 @@ def verify_potentials(graph, t, weights, oracle, pot: Potentials) -> None:
 def shortest_longest_distances(game, player: int) -> Potentials:
     """Worst-case shortest distances for `player`'s own costs: the player
     picks arcs at their vertices, the opponent forces arcs at theirs.  The
-    sweep runs on the metric's integer image (`interdicted_distances`)."""
+    sweep runs on the metric's integer image, and the potentials share its
+    scale (`interdicted_distances`)."""
     from .game import opponent
 
     return interdicted_distances(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from ._gc import paused
-from .costs import INF, Cost, Metric, _exact, integer_image
+from .costs import INF, Cost, Metric, _exact
 from .errors import InputError, NoTerminalPath
 from .graph import Digraph, min_mean_cycle, reachable_from, reaches
 
@@ -389,12 +389,13 @@ def normalize_with_maps(game: SPGame, bipartize: bool = False):
 def _compressed(metric: Metric, source, split: bool) -> Metric:
     """`metric` on the arcs `source` lists; if `split`, `~e` stands for
     half of arc `e`, and the scale doubles."""
+    ints = metric.ints
     if not split:
-        ints = metric.ints
         return Metric.reduced([ints[e] for e in source], metric.scale)
-    scale, ints = integer_image(metric)
+    if metric.scale is None:
+        raise InputError("costs must be exact rationals or ints")
     halved = [2 * ints[e] if e >= 0 else ints[~e] for e in source]
-    return Metric.reduced(halved, 2 * scale)
+    return Metric.reduced(halved, 2 * metric.scale)
 
 
 def normalize(game: SPGame, bipartize: bool = False) -> SPGame:

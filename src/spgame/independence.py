@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
-from .costs import _exact, integer_image
+from .costs import Metric
 from .errors import CapExceeded, InputError, InvalidSubset, OracleViolation
 from .graph import Digraph
 
@@ -97,8 +97,10 @@ class IndependenceOracle:
                 missing = [e for e in arcs if e not in inner.costs]
                 if missing:
                     raise InputError(f"vertex {u}: budget costs missing arcs {missing}")
-                costs = [*map(inner.costs.__getitem__, arcs), inner.budget]
-                scale[u], ints = integer_image(costs)
+                image = Metric.of([*map(inner.costs.__getitem__, arcs), inner.budget])
+                if image.scale is None:
+                    raise InputError("costs must be exact rationals or ints")
+                scale[u], ints = image.scale, image.ints
                 for e, w in zip(arcs, ints):
                     weight[e] = w
                 cap[u] = sum(ints) - 2 * ints[-1] - 1 if flip else ints[-1]
@@ -142,8 +144,9 @@ class IndependenceOracle:
             elif arcs and scale is None:
                 rules[u] = CardinalityRule(self.cap[u])
             elif arcs:
-                costs = {e: _exact(Fraction(self.weight[e], scale)) for e in arcs}
-                rules[u] = BudgetRule(costs, _exact(Fraction(self.cap[u], scale)))
+                value = Metric((), scale).value
+                costs = {e: value(self.weight[e]) for e in arcs}
+                rules[u] = BudgetRule(costs, value(self.cap[u]))
         return rules
 
     def admits(self, u: int, arcs) -> bool:

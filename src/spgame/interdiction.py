@@ -235,7 +235,7 @@ def _one_sided_strategies(
         for e in range(graph.m)
         if graph.tails[e] in U and graph.heads[e] in U
     ]
-    red = reduce_costs(graph, r_choose, pot.potential, scope)
+    red = reduce_costs(graph, r_choose, pot.potential.ints, scope)
 
     good = {e for e in scope if red[e] <= 0}
     dist = dist_to_target(graph, t, r_path, arc_ok=good.__contains__)
@@ -290,21 +290,19 @@ def solve_interdiction(game: InterdictionGame) -> InterdictionNEResult:
     g = game.graph
     s, t = game.start, game.terminal
     # sweeps and reduced costs on the integer images
-    r1, r2 = game.r1.image, game.r2.image
-    pot2 = interdicted_distances(g, t, r2, game.oracle, check=True)
+    r1, r2 = game.r1.ints, game.r2.ints
+    pot2 = interdicted_distances(g, t, game.r2, game.oracle, check=True)
     if is_finite(pot2[s]):
         removed, offered, p = _one_sided_strategies(
-            g, s, t, game.oracle, r2.ints, r1.ints, pot2
+            g, s, t, game.oracle, r2, r1, pot2
         )
         cert: dict[str, Any] = {"method": "one-sided", "branch": "primal"}
         return _certified(game, removed, offered, p, cert)
 
     dual = game.oracle.dual()
-    potd = interdicted_distances(g, t, r1, dual, check=True)
+    potd = interdicted_distances(g, t, game.r1, dual, check=True)
     if is_finite(potd[s]):
-        dremoved, doffered, p = _one_sided_strategies(
-            g, s, t, dual, r1.ints, r2.ints, potd
-        )
+        dremoved, doffered, p = _one_sided_strategies(g, s, t, dual, r1, r2, potd)
         removed = {
             u: frozenset(g.out[u]) - doffered[u] for u in dremoved
         }

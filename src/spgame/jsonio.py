@@ -253,7 +253,7 @@ def _rule_from_json(row, graph, u) -> object:
         missing = [e for e in graph.out[u] if e not in costs]
         if missing:
             raise InputError(
-                f"vertex {row['vertex']!r}: budget costs missing arcs {missing}"
+                f"vertex {row['vertex']!r}: field 'costs' is missing arcs {missing}"
             )
         bad = [e for e, c in costs.items() if c <= 0]
         if bad:
@@ -275,15 +275,15 @@ def _rule_from_json(row, graph, u) -> object:
         for s in sets:
             if not s <= ground:
                 raise InputError(
-                    f"vertex {row['vertex']!r}: explicit set {sorted(s)} "
-                    "contains non-outgoing arcs"
+                    f"vertex {row['vertex']!r}: field 'maximal' names arcs "
+                    f"{sorted(s - ground)} that do not leave it"
                 )
         return explicit_rule(sets)
     if kind == "sp":
         owner = row.get("owner")
         if owner not in ("P1", "P2"):
             raise InputError(
-                f"vertex {row['vertex']!r}: sp oracle needs owner P1 or P2"
+                f"vertex {row['vertex']!r}: field 'owner' must be P1 or P2"
             )
         return CardinalityRule(deg - 1 if owner == "P1" else 0)
     raise InputError(f"unknown oracle kind {kind!r}")
@@ -615,9 +615,7 @@ def interdiction_result_to_json(
 
 def potentials_to_json(names, pot: Potentials) -> dict:
     return {
-        "phi": {
-            names[u]: cost_to_json(pot.potential[u]) for u in range(len(names))
-        },
+        "phi": dict(zip(names, map(cost_to_json, pot.potential))),
         "blocked": {
             names[u]: sorted(pot.blocked[u])
             for u in range(len(names))

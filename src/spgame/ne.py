@@ -18,10 +18,10 @@ directly from the two maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ._gc import paused
-from .costs import INF, Cost, divide_back, is_finite
+from .costs import INF, Cost, is_finite
 from .dijkstra import (
     Potentials,
     dist_to_target,
@@ -234,7 +234,9 @@ def aligned_reduced_costs(
     owner's reduced costs have minimum exactly zero; for the opponent, the
     arcs within phi(u) form a dependent set, which under that oracle means
     every arc, and a kept arc attains phi(u), so the opponent's reduced
-    costs have maximum exactly zero."""
+    costs have maximum exactly zero.  The maps are on the metrics'
+    integer images (see `Potentials`): each player's reduced costs times
+    their metric's positive scale, with the same signs and zeros."""
     pot1 = shortest_longest_distances(game, PLAYER1)
     pot2 = shortest_longest_distances(game, PLAYER2)
     for player, pot in ((PLAYER1, pot1), (PLAYER2, pot2)):
@@ -243,8 +245,8 @@ def aligned_reduced_costs(
                 f"worst-case distance for player {player} is infinite at "
                 f"vertices {sorted(pot.infinite_vertices)}"
             )
-    red1 = reduce_costs(game.graph, game.r1, pot1.potential)
-    red2 = reduce_costs(game.graph, game.r2, pot2.potential)
+    red1 = reduce_costs(game.graph, game.r1.ints, pot1.potential.ints)
+    red2 = reduce_costs(game.graph, game.r2.ints, pot2.potential.ints)
     return red1, red2, pot1, pot2
 
 
@@ -341,20 +343,12 @@ def terminal_ne_against_forcer(
     player answers with their own cheapest path against that strategy,
     deviates onto zero arcs off the play, and stays inside B if the play is
     ever pushed there.  `pot`, if given, holds those distances as
-    `shortest_longest_distances` returns them."""
-    m = opponent(weak_player)
+    `shortest_longest_distances` returns them, on the strong metric's
+    integer image; potentials built from exact values at another scale
+    are converted to it.  The certificate holds them as exact values."""
+    m = opponent(weak_player)  # the player whose metric drives the region
     if pot is None:
         pot = shortest_longest_distances(game, m)
-    scale = game.cost(m).scale
-    image = [v if v == INF else int(v * scale) for v in pot.potential]
-    return _one_sided(game, weak_player, replace(pot, potential=tuple(image)))
-
-
-def _one_sided(game: SPGame, weak_player: int, pot: Potentials) -> NEResult:
-    """`terminal_ne_against_forcer` with `pot` on the strong metric's
-    integer image, as `solve` sweeps it; the certificate holds it divided
-    back."""
-    m = opponent(weak_player)  # the player whose metric drives the region
     g = game.graph
     t = game.terminal
     s = game.start
@@ -365,12 +359,16 @@ def _one_sided(game: SPGame, weak_player: int, pot: Potentials) -> NEResult:
     B = pot.infinite_vertices
     U = pot.finite_vertices
 
+    metric = game.cost(m)
+    phi = pot.potential.ints
+    if pot.potential.scale != metric.scale:
+        phi = [v if v == INF else int(v * metric.scale) for v in pot.potential]
     scope = [
         e
         for e in range(g.m)
         if g.tails[e] in U and g.heads[e] in U
     ]
-    red = reduce_costs(g, game.cost(m).ints, pot.potential, scope)
+    red = reduce_costs(g, metric.ints, phi, scope)
 
     def zero_arc(u: int) -> int:
         return next(
@@ -414,7 +412,7 @@ def _one_sided(game: SPGame, weak_player: int, pot: Potentials) -> NEResult:
     cert = {
         "method": "one-sided",
         "weak_player": weak_player,
-        "potential": divide_back(pot.potential, game.cost(m).scale),
+        "potential": tuple(pot.potential),
         "infinite_region": tuple(sorted(B)),
     }
     return _certified(game, sit, cert, {weak_player: wdist[s]})
@@ -437,12 +435,12 @@ def solve(game: SPGame) -> NEResult:
         pot = pots[strong] = interdicted_distances(
             game.graph,
             game.terminal,
-            game.cost(strong).image,
+            game.cost(strong),
             sp_blocking_oracle(game, weak),
             check=False,
         )
         if is_finite(pot[game.start]):
-            return _one_sided(game, weak, pot)
+            return terminal_ne_against_forcer(game, weak, pot)
     pot1, pot2 = pots[PLAYER1], pots[PLAYER2]
     sit = Situation(
         _forcing_strategy(game, pot2, PLAYER1),

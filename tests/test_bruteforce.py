@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from spgame import bruteforce
 from spgame.bruteforce import (
+    VerifyResult,
     default_cap,
     exhaustive_phi,
     search_terminal_ne,
@@ -11,7 +13,7 @@ from spgame.bruteforce import (
 )
 from spgame.costs import INF
 from spgame.dijkstra import interdicted_distances
-from spgame.errors import CapExceeded
+from spgame.errors import CapExceeded, InternalInvariantError
 from spgame.game import PLAYER1, PLAYER2, TERMINAL, SPGame, Situation, situations
 from spgame.generators import InstanceGenerator
 from spgame.graph import Digraph
@@ -187,6 +189,13 @@ def test_search_exhausts_when_no_play_terminates():
     assert res.situation is None and res.play is None
     assert res.scanned == 2
     assert res.terminal_plays == 0
+
+
+def test_search_disagreeing_with_literal_check_is_internal_error(monkeypatch):
+    # a hit the literal check rejects is a fault of the scan: exit code 3
+    monkeypatch.setattr(bruteforce, "verify_ne", lambda *a, **k: VerifyResult(False))
+    with pytest.raises(InternalInvariantError, match="literal verifier"):
+        search_terminal_ne(exit_choice_game())
 
 
 def test_search_cap():

@@ -94,7 +94,7 @@ NONPOSITIVE_COSTS = [
 ]
 
 
-@pytest.mark.parametrize("argv", [["solve"], ["phi", "--player", "1"]])
+@pytest.mark.parametrize("argv", [["solve"], ["phi", "--player", "1"], ["search"]])
 def test_nonpositive_costs_error_is_pinned(capsys, tmp_path, argv):
     obj = {
         "vertices": [{"id": "s", "owner": "P1"}, {"id": "t", "owner": "T"}],
@@ -182,6 +182,27 @@ def with_none_vertex(obj):
     return obj
 
 
+def extra_sink(obj):
+    """Add a vertex `x` with no out-arcs, and an arc into it from `a`."""
+    owner = {} if "oracles" in obj else {"owner": "P2"}
+    obj["vertices"].append({"id": "x", **owner})
+    obj["arcs"].append(
+        {"id": len(obj["arcs"]), "tail": "a", "head": "x", "r1": 1, "r2": 1}
+    )
+    return obj
+
+
+def terminal_with_arc(obj):
+    """Give the terminal `t` an arc back to `s` (and, in an interdiction
+    game, a rule)."""
+    obj["arcs"].append(
+        {"id": len(obj["arcs"]), "tail": "t", "head": "s", "r1": 1, "r2": 1}
+    )
+    if "oracles" in obj:
+        obj["oracles"].append({"vertex": "t", "kind": "cardinality", "k": 0})
+    return obj
+
+
 def null_vertex_id(obj):
     """Make the id of vertex `a` null and name it `"None"` in its arcs, so
     a loader reading null as the name `None` accepts the file."""
@@ -244,6 +265,32 @@ def null_vertex_id(obj):
             lambda obj: with_none_vertex(obj)["arcs"][5].__setitem__("head", None),
             "arc 5: head is null",
         ),
+        (
+            "chain",
+            lambda obj: obj["vertices"].append({"id": "s", "owner": "P2"}),
+            "duplicate vertex id 's'",
+        ),
+        (
+            "interdict",
+            lambda obj: obj["oracles"].append(
+                {"vertex": "a", "kind": "sp", "owner": "P2"}
+            ),
+            "duplicate oracle spec for vertex 'a'",
+        ),
+        (
+            "interdict",
+            lambda obj: obj["arcs"][0].__setitem__("r1", 0),
+            "non-positive cost on arc 0",
+        ),
+        (
+            "interdict",
+            lambda obj: obj["arcs"][0].__setitem__("r2", "-1/2"),
+            "non-positive cost on arc 0",
+        ),
+        ("chain", extra_sink, "vertex 4 has no outgoing arcs but is not terminal"),
+        ("interdict", extra_sink, "vertex 3 is a sink but not the terminal"),
+        ("chain", terminal_with_arc, "terminal vertex 3 has outgoing arcs"),
+        ("interdict", terminal_with_arc, "terminal vertex has outgoing arcs"),
     ],
     ids=[
         "vertex-no-id",
@@ -262,6 +309,14 @@ def null_vertex_id(obj):
         "vertex-id-null",
         "tail-null-beside-None",
         "head-null-beside-None",
+        "vertex-id-duplicate",
+        "oracle-row-duplicate",
+        "interdiction-cost-zero",
+        "interdiction-cost-negative",
+        "plain-extra-sink",
+        "interdiction-extra-sink",
+        "plain-terminal-with-arc",
+        "interdiction-terminal-with-arc",
     ],
 )
 def test_malformed_game_is_input_error(
@@ -417,10 +472,15 @@ def test_phi_interdiction_metrics_and_dual(capsys, interdict):
             "costs",
         ),
         ({"kind": "explicit"}, "maximal"),
+        ({"kind": "budget", "costs": {"2": 1}, "budget": 1}, "costs"),
+        ({"kind": "explicit", "maximal": [2, 3]}, "maximal"),
+        ({"kind": "explicit", "maximal": [[2], [3, 0]]}, "maximal"),
+        ({"kind": "sp", "owner": "P3"}, "owner"),
     ],
     ids=[
         "k-fraction", "k-string", "no-k", "no-costs", "no-budget", "cost-key",
-        "foreign-cost-key", "no-maximal",
+        "foreign-cost-key", "no-maximal", "missing-cost-key", "maximal-flat",
+        "maximal-foreign-arc", "sp-owner",
     ],
 )
 def test_bad_oracle_rule_is_input_error(capsys, tmp_path, interdict, rule, field):
@@ -603,6 +663,50 @@ def test_plain_output_is_pinned(capsys, data_dir, game, command):
     assert code == 0 and err == ""
     expected = data_dir / "expected" / f"{game}.{command}.json"
     assert out == expected.read_text(encoding="utf-8")
+
+
+def test_search_rejects_negative_costs(capsys, tmp_path, chain):
+    # Dijkstra is not valid on negative costs: the scan's distance test
+    # accepted a situation the literal verifier rejected
+    with open(chain) as fh:
+        obj = json.load(fh)
+    r1 = ["1/2", "1/2", -3, 2, 1, "1/2"]
+    r2 = [1, 1, 0, 1, "1/2", 0]
+    for arc, a, b in zip(obj["arcs"], r1, r2):
+        arc["r1"], arc["r2"] = a, b
+    code, out, err = run(capsys, "search", write_json(tmp_path, obj))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "InputError",
+        "message": "non-positive cost on arcs [2, 5]",
+    }
+
+
+def sp_and_cardinality_files(tmp_path, interdict):
+    """`interdict3.json` with `sp` rows (owner P1 at `s`, P2 at `a`), and
+    with the cardinality rows they stand for: k = deg - 1 at `s`, 0 at `a`."""
+    with open(interdict) as fh:
+        obj = json.load(fh)
+    obj["oracles"] = [
+        {"vertex": "s", "kind": "sp", "owner": "P1"},
+        {"vertex": "a", "kind": "sp", "owner": "P2"},
+    ]
+    sp = write_json(tmp_path, obj, "sp.json")
+    obj["oracles"] = [
+        {"vertex": "s", "kind": "cardinality", "k": 1},
+        {"vertex": "a", "kind": "cardinality", "k": 0},
+    ]
+    return sp, write_json(tmp_path, obj, "cardinality.json")
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve-interdiction", "--certificate"], ["phi", "--dual"]]
+)
+def test_sp_rows_print_as_their_cardinality_rows(capsys, tmp_path, interdict, argv):
+    sp, cardinality = sp_and_cardinality_files(tmp_path, interdict)
+    got = run(capsys, argv[0], sp, *argv[1:])
+    assert got[0] == 0 and got[2] == ""
+    assert got == run(capsys, argv[0], cardinality, *argv[1:])
 
 
 def test_search(capsys, chain):

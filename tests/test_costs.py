@@ -1,9 +1,13 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from spgame.costs import INF, cost_to_json, integer_image, is_finite, parse_cost
+from spgame.costs import INF, Metric, cost_to_json, is_finite, parse_cost
+from spgame.dijkstra import interdicted_distances
 from spgame.errors import InputError
+from spgame.graph import Digraph
+from spgame.independence import cardinality_oracle
 
 
 def test_parse_int():
@@ -79,28 +83,34 @@ def test_json_round_trip():
 
 
 def test_integer_image_scales_by_lcm_of_denominators():
-    scale, ints = integer_image((Fraction(1, 2), 3, Fraction(5, 3), Fraction(4)))
-    assert scale == 6
-    assert ints == (3, 18, 10, 24)
-    assert all(type(c) is int for c in ints)
+    image = Metric.of((Fraction(1, 2), 3, Fraction(5, 3), Fraction(4)))
+    assert image.scale == 6
+    assert image.ints == (3, 18, 10, 24)
+    assert all(type(c) is int for c in image.ints)
 
 
 def test_integer_image_turns_integral_fractions_into_ints():
-    scale, ints = integer_image((Fraction(3), Fraction(4), 5))
-    assert scale == 1 and ints == (3, 4, 5)
-    assert all(type(c) is int for c in ints)
+    image = Metric.of((Fraction(3), Fraction(4), 5))
+    assert image.scale == 1 and image.ints == (3, 4, 5)
+    assert all(type(c) is int for c in image.ints)
 
 
 def test_integer_image_keeps_all_int_weights():
     weights = (3, 4, 5)
-    scale, ints = integer_image(weights)
-    assert scale == 1 and ints is weights
-    assert integer_image([3, 4, 5]) == (1, (3, 4, 5))
+    image = Metric.of(weights)
+    assert image.scale == 1 and image.ints is weights
+    image = Metric.of([3, 4, 5])
+    assert (image.scale, image.ints) == (1, (3, 4, 5))
+    assert Metric.of(image) is image
 
 
 def test_integer_image_rejects_floats():
-    with pytest.raises(InputError):
-        integer_image((1, 0.5))
+    # floats get no image, and the sweep refuses a metric without one
+    weights = Metric.of((1, 0.5))
+    assert weights.scale is None and weights.ints == (1, 0.5)
+    g = Digraph.from_arcs(3, [(0, 2), (1, 2)])
+    with pytest.raises(InputError, match="exact"):
+        interdicted_distances(g, 2, weights, cardinality_oracle(g, 0))
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -187,8 +197,8 @@ def chain_game(r1, r2):
 @example((["2", "x"], [True, "1"]))
 def test_loader_reads_each_metric_as_its_integer_image(columns):
     """Each metric loads as `ints[e] == parse_cost(v) * scale`, with the
-    scale `integer_image` gives the parsed values, or the load raises the
-    row-by-row loader's error for the first bad row."""
+    scale the LCM of the parsed values' denominators, or the load raises
+    the row-by-row loader's error for the first bad row."""
     from spgame.jsonio import game_from_json
 
     r1, r2 = columns
@@ -207,7 +217,7 @@ def test_loader_reads_each_metric_as_its_integer_image(columns):
         return
     game = game_from_json(chain_game(r1, r2))
     for metric, values in zip((game.r1, game.r2), parsed):
-        scale, _ = integer_image(values)
+        scale = lcm(*(Fraction(v).denominator for v in values))
         assert metric.scale == scale
         assert [type(c) for c in metric.ints] == [int] * len(values)
         assert list(metric.ints) == [v * scale for v in values]

@@ -211,6 +211,34 @@ def test_verify_rejects_false_infinity():
         verify_potentials(g, 2, w, oracle, bad)
 
 
+def test_verify_reads_exact_values_at_another_scale():
+    # potentials built from exact values get their own scale (2), not the
+    # weights' (6); they are checked on exact values, and still caught
+    # once one of them is wrong
+    g = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2), (1, 2)])
+    w = (F(1, 3), F(5, 2), F(1, 2), F(3, 2))
+    oracle = cardinality_oracle(g, {0: 1, 1: 1})
+    pot = interdicted_distances(g, 2, w, oracle, check=False)
+    assert pot.potential.scale == 6
+    exact = Potentials(2, tuple(pot.potential), pot.blocked, (None,) * 3)
+    assert exact.potential == pot.potential == (F(5, 2), F(3, 2), 0)
+    assert exact.potential.scale == 2
+    verify_potentials(g, 2, w, oracle, exact)
+    for wrong in ((F(7, 3), F(3, 2), 0), (F(5, 2), F(1, 2), 0), (INF, F(3, 2), 0)):
+        bad = Potentials(2, wrong, pot.blocked, (None,) * 3)
+        with pytest.raises(InternalInvariantError):
+            verify_potentials(g, 2, w, oracle, bad)
+
+
+def test_sweep_rejects_a_bad_target_or_sink():
+    g = Digraph.from_arcs(3, [(0, 2), (1, 2), (2, 0)])
+    with pytest.raises(InputError, match="^target vertex must have no outgoing arcs$"):
+        interdicted_distances(g, 2, (1, 1, 1), cardinality_oracle(g, 0))
+    g = Digraph.from_arcs(3, [(0, 2)])
+    with pytest.raises(InputError, match="^vertex 1 is a sink but not the target$"):
+        interdicted_distances(g, 2, (1,), cardinality_oracle(g, 0))
+
+
 # ---------------------------------------------------------------------------
 # the growth step against one oracle query per extraction
 
@@ -293,6 +321,45 @@ def test_sweep_matches_reference_loop(kinds, dual):
         assert pot.blocked == blocked
         assert pot.witness == witness
         assert pot.order == order
+
+
+class AtMost:
+    """At most `k` arcs, known to the oracle only through `independent`:
+    not a `CardinalityRule`, so it stays a side rule with the generic
+    growth step."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def independent(self, arcs):
+        return len(arcs) <= self.k
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_generic_growth_step_sweeps_as_cardinality(dual):
+    rng = random.Random(f"generic-rule{dual}")
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        arcs = [
+            (u, rng.randrange(n))
+            for u in range(n - 1)
+            for _ in range(rng.randint(1, 6))
+        ]
+        g = Digraph.from_arcs(n, arcs)
+        w = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in arcs]
+        k = {u: rng.randrange(len(g.out[u])) for u in range(n - 1)}
+        generic = IndependenceOracle(g, {u: AtMost(b) for u, b in k.items()})
+        assert set(generic.side) == set(k)
+        bounds = cardinality_oracle(g, k)
+        if dual:
+            generic, bounds = generic.dual(), bounds.dual()
+            assert all(type(r) is DualRule for r in generic.side.values())
+        got = interdicted_distances(g, n - 1, w, generic, check=True)
+        want = interdicted_distances(g, n - 1, w, bounds, check=True)
+        assert got.potential == want.potential
+        assert got.blocked == want.blocked
+        assert got.witness == want.witness
+        assert got.order == want.order
 
 
 @pytest.mark.parametrize(

@@ -388,6 +388,25 @@ def test_budget_tables_match_entry_by_entry_conversion(monkeypatch):
     assert checked > 100 and errors > 20
 
 
+def test_sp_rows_load_as_cardinality_bounds(data_dir, monkeypatch):
+    obj = json.loads((data_dir / "interdict3.json").read_text())
+    obj["oracles"] = [
+        {"vertex": "s", "kind": "sp", "owner": "P1"},
+        {"vertex": "a", "kind": "sp", "owner": "P2"},
+    ]
+
+    def refuse(*args):
+        raise AssertionError("row converted one by one")
+
+    with monkeypatch.context() as m:  # sp rows go through the bulk path
+        m.setattr(jsonio, "_rule_from_json", refuse)
+        bulk = interdiction_from_json(obj).oracle
+    rows = load_budget_tables_entry_by_entry(obj, monkeypatch).oracle
+    for oracle in (bulk, rows):
+        assert oracle.cap == [1, 0, 0]  # no rule at `t`: cap 0
+        assert oracle.rules == {0: CardinalityRule(1), 1: CardinalityRule(0)}
+
+
 def test_budget_keys_shifted_between_tables_are_foreign(data_dir):
     # the tables' keys, read one after the other, are the arcs of their
     # vertices in order, but arc 2 is listed under `s`, which it does not

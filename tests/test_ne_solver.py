@@ -6,7 +6,7 @@ import pytest
 from spgame import cli, dijkstra, ne
 from spgame.bruteforce import verify_ne
 from spgame.costs import INF
-from spgame.dijkstra import shortest_longest_distances
+from spgame.dijkstra import Potentials, shortest_longest_distances
 from spgame.errors import (
     BlockerExists,
     InternalInvariantError,
@@ -377,8 +377,9 @@ def test_certificate_rejects_or_verifies_under_faulty_sweep(faulty_sweep):
 
 
 def test_one_sided_takes_the_potentials_it_is_documented_to(data_dir):
-    # `pot` holds exact distances, as `shortest_longest_distances` gives
-    # them, also on a game whose metrics have scales 168 and 180
+    # `pot` as `shortest_longest_distances` gives it, on the strong
+    # metric's image, or rebuilt from its exact values at a scale of its
+    # own, also on a game whose metrics have scales 168 and 180
     game = load_path(str(data_dir / "mixed.json"))
     assert (game.r1.scale, game.r2.scale) == (168, 180)
     for weak in (PLAYER1, PLAYER2):
@@ -386,3 +387,6 @@ def test_one_sided_takes_the_potentials_it_is_documented_to(data_dir):
         given = terminal_ne_against_forcer(game, weak, pot)
         assert given == terminal_ne_against_forcer(game, weak)
         assert given.certificate["potential"] == pot.potential
+        exact = Potentials(pot.target, tuple(pot.potential), pot.blocked, pot.witness)
+        assert exact.potential.scale != pot.potential.scale
+        assert terminal_ne_against_forcer(game, weak, exact) == given
