@@ -16,6 +16,8 @@ dominates comparison exactly as IEEE infinity does.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
@@ -37,6 +39,43 @@ def _exact(f: Fraction) -> int | Fraction:
     return f.numerator if f.denominator == 1 else f
 
 
+# the exponent of a spelling such as "25e-1", as `Fraction` reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _digit_limit() -> int:
+    """The most digits `int` reads from a string or `str` writes, 0 for no
+    limit (Pythons before 3.10.7 have none)."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _in_limit(n: int, d: int) -> tuple[int, int]:
+    """`(n, d)`; a ValueError if either has more digits than `int` reads,
+    so that every cost read can be written back."""
+    limit = _digit_limit()
+    top = max(abs(n), d)
+    # fewer than 3 * limit bits is fewer than limit digits
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+        raise ValueError(f"more than {limit} digits")
+    return n, d
+
+
+def _fraction(value: str) -> tuple[int, int]:
+    """`(numerator, denominator)` of `Fraction(value)`, within the digit
+    limit.  `Fraction` reads at most 2 * limit digits before an exponent,
+    so an exponent beyond 3 * limit either way puts any value but 0 past
+    the limit; such a value is read with exponent 0 instead, and refused
+    unless 0, before `Fraction` makes the power of ten."""
+    limit = _digit_limit()
+    exponent = _EXPONENT.search(value)
+    if limit and exponent and abs(int(exponent[1])) > 3 * limit:
+        if Fraction(value[: exponent.start(1)] + "0"):
+            raise ValueError(f"exponent out of range in {value!r}")
+        return 0, 1
+    f = Fraction(value)
+    return _in_limit(f.numerator, f.denominator)
+
+
 def _ratio(value: str) -> tuple[int, int]:
     """`(numerator, denominator)` of a cost string in lowest terms, as
     `Fraction(value)` reads it.  "p", "p/q" and "p.f" with every part made
@@ -44,25 +83,29 @@ def _ratio(value: str) -> tuple[int, int]:
     expression; other spellings (signs, spaces, underscores, exponents,
     empty parts) go through `Fraction`.  Each part goes through `int` as
     `Fraction` parses it, so a too-long part (ValueError) or a zero
-    denominator (ZeroDivisionError) fails as it does there."""
+    denominator (ZeroDivisionError) fails as it does there; so does a
+    numerator or denominator with more digits than `int` reads."""
     num, slash, den = value.partition("/")
     if slash:
         if not (num.isdecimal() and den.isdecimal()):
-            f = Fraction(value)
-            return f.numerator, f.denominator
+            return _fraction(value)
         n, d = int(num), int(den)
         if d == 0:
             raise ZeroDivisionError(f"Fraction({n}, 0)")
     else:
         whole, dot, frac = value.partition(".")
         if not whole.isdecimal() or (dot and not frac.isdecimal()):
-            f = Fraction(value)
-            return f.numerator, f.denominator
+            return _fraction(value)
         n, d = int(whole), 10 ** len(frac)
         if frac:
             n = n * d + int(frac)
     g = gcd(n, d)
-    return n // g, d // g
+    # neither part has more digits than the string, and no limit is below
+    # 640 (`sys.int_info.str_digits_check_threshold`); a whole part and a
+    # fraction part, each in the limit, can make a numerator past it
+    if len(value) <= 640:
+        return n // g, d // g
+    return _in_limit(n // g, d // g)
 
 
 def parse_cost(value) -> int | Fraction:

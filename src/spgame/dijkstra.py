@@ -143,9 +143,9 @@ def interdicted_distances(
     under explicit rules and their duals, O(number of maximal sets)."""
     if graph.out[t]:
         raise InputError("target vertex must have no outgoing arcs")
-    for u in range(graph.n):
-        if u != t and not graph.out[u]:
-            raise InputError(f"vertex {u} is a sink but not the target")
+    if graph.sinks != (t,):
+        u = next(u for u in graph.sinks if u != t)
+        raise InputError(f"vertex {u} is a sink but not the target")
     weights = Metric.of(weights)
     if weights.scale is None:
         raise InputError("costs must be exact rationals or ints")

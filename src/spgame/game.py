@@ -50,12 +50,15 @@ class SPGame:
             raise InputError("start vertex out of range")
         if len(self.r1) != g.m or len(self.r2) != g.m:
             raise InputError("cost list length does not match arc count")
-        for u in range(g.n):
-            has_out = bool(g.out[u])
-            if self.owner[u] == TERMINAL and has_out:
+        # the terminals are the sinks; the lowest vertex that is only one
+        # of them raises
+        terminals = set(self.terminals)
+        odd = terminals.symmetric_difference(g.sinks)
+        if odd:
+            u = min(odd)
+            if u in terminals:
                 raise InputError(f"terminal vertex {u} has outgoing arcs")
-            if self.owner[u] != TERMINAL and not has_out:
-                raise InputError(f"vertex {u} has no outgoing arcs but is not terminal")
+            raise InputError(f"vertex {u} has no outgoing arcs but is not terminal")
         if not self.names:
             object.__setattr__(
                 self, "names", tuple(f"v{u}" for u in range(g.n))

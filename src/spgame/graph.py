@@ -22,6 +22,8 @@ class Digraph:
     heads: tuple[int, ...]
     out: tuple[tuple[int, ...], ...] = field(repr=False)
     inc: tuple[tuple[int, ...], ...] = field(repr=False)
+    # the vertices without out-arcs, lowest first
+    sinks: tuple[int, ...] = field(repr=False, compare=False)
 
     @staticmethod
     def from_arcs(n: int, pairs: Iterable[tuple[int, int]]) -> "Digraph":
@@ -31,7 +33,8 @@ class Digraph:
     @staticmethod
     def from_columns(n: int, tails: Sequence[int], heads: Sequence[int]) -> "Digraph":
         """The digraph whose arc `e` runs from `tails[e]` to `heads[e]`;
-        the one place that builds the adjacency lists."""
+        the one place that builds the adjacency lists and finds the
+        sinks."""
         tails, heads = tuple(tails), tuple(heads)
         if len(tails) != len(heads):
             raise InputError("tail and head columns differ in length")
@@ -56,6 +59,7 @@ class Digraph:
             heads,
             tuple([tuple(a) for a in out]),
             tuple([tuple(a) for a in inc]),
+            tuple([u for u, a in enumerate(out) if not a]),
         )
 
     @property

@@ -60,9 +60,9 @@ class InterdictionGame:
         object.__setattr__(self, "r2", Metric.of(self.r2))
         if g.out[self.terminal]:
             raise InputError("terminal vertex has outgoing arcs")
-        for u in range(g.n):
-            if u != self.terminal and not g.out[u]:
-                raise InputError(f"vertex {u} is a sink but not the terminal")
+        if g.sinks != (self.terminal,):
+            u = next(u for u in g.sinks if u != self.terminal)
+            raise InputError(f"vertex {u} is a sink but not the terminal")
         if len(self.r1) != g.m or len(self.r2) != g.m:
             raise InputError("cost list length does not match arc count")
         r1, r2 = self.r1.ints, self.r2.ints

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Mapping
 
@@ -122,17 +121,6 @@ def _arc_columns(arcs, index):
     if ratio is None:
         return None
     return tails, heads, Metric.from_ratios(r1, ratio), Metric.from_ratios(r2, ratio)
-
-
-def _int_column(values) -> list[int] | None:
-    """`values` as ints, each an int or a string of one, or None if one is
-    not (`_as_int`'s test, on the whole column)."""
-    if not set(map(type, values)) <= {int, str}:
-        return None
-    try:
-        return list(map(int, values))
-    except ValueError:
-        return None
 
 
 def _arc_rows_error(arcs, index) -> None:
@@ -289,107 +277,48 @@ def _rule_from_json(row, graph, u) -> object:
     raise InputError(f"unknown oracle kind {kind!r}")
 
 
-def _oracle_columns(rows, graph, index) -> IndependenceOracle | None:
-    """The oracle of the rule rows: cardinality bounds, `sp` rows and budget
-    tables written into its columns in bulk, explicit rules built row by
-    row.  None if a bulk check fails, or if a rule sits at a vertex
-    without arcs; the caller then converts the rows one by one, which
-    raises the error of the first bad row."""
-    if not set(map(type, rows)) <= {dict}:
-        return None
-    vertex = [row.get("vertex") for row in rows]
-    kinds = [row.get("kind") for row in rows]
-    try:
-        us = list(map(index.__getitem__, map(str, vertex)))
-        of_kind: dict = {kind: [] for kind in kinds}
-    except (KeyError, TypeError):  # unknown vertex, unhashable kind
-        return None
+def _oracle(rows, graph, index, names) -> IndependenceOracle:
+    """The oracle of the rule rows, in one pass.  A cardinality row with an
+    int `k` in range, and a budget row whose `costs` table maps its
+    vertex's arcs in order to positive ints (as `interdiction_to_json`
+    writes it) with an int budget, go straight into the oracle's columns;
+    every other row is converted by `_rule_from_json` and imaged by
+    `IndependenceOracle`.  The first bad row in file order raises."""
     out = graph.out
-    if (
-        None in vertex
-        or len(set(us)) < len(us)
-        or not of_kind.keys() <= {"cardinality", "sp", "budget", "explicit"}
-        or not all(map(out.__getitem__, us))
-    ):
-        return None
-    for pos, kind in enumerate(kinds):
-        of_kind[kind].append(pos)
-    cap: list = [None] * graph.n
-    bounds = _int_column([rows[pos].get("k") for pos in of_kind.get("cardinality", ())])
-    if bounds is None:
-        return None
-    for pos, k in zip(of_kind.get("cardinality", ()), bounds):
-        if not 0 <= k < len(out[us[pos]]):
-            return None
-        cap[us[pos]] = k
-    for pos in of_kind.get("sp", ()):
-        owner = rows[pos].get("owner")
-        if owner not in ("P1", "P2"):
-            return None
-        cap[us[pos]] = len(out[us[pos]]) - 1 if owner == "P1" else 0
-    columns = _budget_columns(rows, of_kind.get("budget", []), us, graph, cap)
-    if columns is None:
-        return None
-    weight, scale = columns
+    weight, cap, scale = [1] * graph.m, [None] * graph.n, {}
     rules = {}
-    try:
-        for pos in of_kind.get("explicit", ()):
-            rules[us[pos]] = _rule_from_json(rows[pos], graph, us[pos])
-    except InputError:
-        return None
+    for pos, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise InputError(f"oracles[{pos}]: expected an oracle object")
+        u = _vertex_index(index, row.get("vertex"))
+        if u is None:
+            raise InputError(
+                f"oracle spec for unknown vertex {str(row.get('vertex'))!r}"
+            )
+        if cap[u] is not None or u in rules:
+            raise InputError(f"duplicate oracle spec for vertex {names[u]!r}")
+        arcs = out[u]
+        kind = row.get("kind")
+        if kind == "cardinality":
+            k = row.get("k")
+            if type(k) is int and 0 <= k < len(arcs):
+                cap[u] = k
+                continue
+        elif kind == "budget":
+            table, budget = row.get("costs"), row.get("budget")
+            if type(table) is dict and type(budget) is int and arcs:
+                costs = list(table.values())
+                if (
+                    list(table) == list(map(str, arcs))
+                    and set(map(type, costs)) == {int}
+                    and min(costs) > 0
+                ):
+                    for e, c in zip(arcs, costs):
+                        weight[e] = c
+                    cap[u], scale[u] = budget, 1
+                    continue
+        rules[u] = _rule_from_json(row, graph, u)
     return IndependenceOracle(graph, rules, (weight, cap, scale))
-
-
-def _budget_columns(rows, budget, us, graph, cap):
-    """`(weight, scale)` for `_oracle_columns`, with the budget rows at
-    positions `budget` written into `cap` and the weight column: their
-    `costs` tables' keys converted as one column, and their costs and
-    budgets parsed as two (`parse_ratios`), each vertex's costs and budget
-    then scaled by the LCM of their denominators.  None if a check fails."""
-    tables = [rows[pos].get("costs") for pos in budget]
-    budgets = [rows[pos].get("budget") for pos in budget]
-    if not set(map(type, tables)) <= {dict}:
-        return None
-    owners = [us[pos] for pos in budget]
-    arcs = [graph.out[u] for u in owners]
-    keys = list(chain.from_iterable(tables))
-    costs = list(chain.from_iterable(map(dict.values, tables)))
-    # each table keyed by its vertex's arcs in order, as `interdiction_to_json`
-    # writes them, or else every key an arc out of its row's vertex and
-    # every such arc a key
-    flat = list(chain.from_iterable(arcs))
-    if keys == list(map(str, flat)) and list(map(len, tables)) == list(map(len, arcs)):
-        keys = flat
-    else:
-        keys = _int_column(keys)
-        if keys is None or keys and (min(keys) < 0 or max(keys) >= graph.m):
-            return None
-        spans = chain.from_iterable(map(repeat, owners, map(len, tables)))
-        if list(map(graph.tails.__getitem__, keys)) != list(spans):
-            return None
-        if len(set(keys)) != len(flat):
-            return None
-    # every cost parsed, also one a later equal key overrides
-    ratio = parse_ratios(costs, budgets)
-    if ratio is None:
-        return None
-    weight = [1] * graph.m
-    for e, c in zip(keys, costs):  # the later of two equal keys wins
-        weight[e] = c
-    scale = dict.fromkeys(owners, 1)
-    if not ratio:  # ints only: every scale is 1
-        for u, b in zip(owners, budgets):
-            cap[u] = b
-    else:
-        for u, b in zip(owners, budgets):
-            out = graph.out[u]
-            image = Metric.from_ratios([*map(weight.__getitem__, out), b], ratio)
-            for e, w in zip(out, image.ints):
-                weight[e] = w
-            cap[u], scale[u] = image.ints[-1], image.scale
-    if flat and min(map(weight.__getitem__, flat)) <= 0:
-        return None
-    return weight, scale
 
 
 def interdiction_from_json(obj: Mapping) -> InterdictionGame:
@@ -404,28 +333,13 @@ def interdiction_from_json(obj: Mapping) -> InterdictionGame:
     rows = obj.get("oracles", [])
     if not isinstance(rows, list):
         raise InputError("oracles: expected a list of oracle objects")
-    oracle = _oracle_columns(rows, graph, index)
-    if oracle is None:
-        rules = {}
-        for pos, row in enumerate(rows):
-            if not isinstance(row, dict):
-                raise InputError(f"oracles[{pos}]: expected an oracle object")
-            u = _vertex_index(index, row.get("vertex"))
-            if u is None:
-                raise InputError(
-                    f"oracle spec for unknown vertex {str(row.get('vertex'))!r}"
-                )
-            if u in rules:
-                raise InputError(f"duplicate oracle spec for vertex {names[u]!r}")
-            rules[u] = _rule_from_json(row, graph, u)
-        oracle = IndependenceOracle(graph, rules)
     return InterdictionGame(
         graph,
         ends["start"],
         ends["terminal"],
         r1,
         r2,
-        oracle,
+        _oracle(rows, graph, index, names),
         tuple(names),
     )
 
@@ -487,7 +401,8 @@ def load_object(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        # bad JSON, bad UTF-8, or arrays and objects nested too deep
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object")

@@ -332,6 +332,35 @@ def test_malformed_game_is_input_error(
     assert report["message"].startswith(field)
 
 
+@pytest.mark.parametrize("cost", ["1e5000", "1e-5000"])
+def test_cost_past_the_digit_limit_is_input_error(capsys, tmp_path, chain, cost):
+    # a numerator or denominator of 5001 digits loads nowhere: `str` could
+    # not write it back
+    with open(chain) as fh:
+        obj = json.load(fh)
+    obj["arcs"][1]["r1"] = cost
+    code, out, err = run(capsys, "solve", write_json(tmp_path, obj))
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert report["message"] == f"arc 1: bad cost (not a cost: {cost!r})"
+
+
+@pytest.mark.parametrize("which", ["game", "situation"])
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, chain, which):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    if which == "game":
+        argv = ["solve", str(deep)]
+    else:
+        argv = ["verify", chain, "--situation", str(deep)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "InputError"
+    assert report["message"].startswith(f"invalid JSON in {deep}")
+
+
 @pytest.mark.parametrize("bad", [True, 1.0, "x"])
 def test_bad_cost_is_input_error_after_valid_spellings(capsys, tmp_path, chain, bad):
     # costs are parsed once per distinct string: a bad value must not pass

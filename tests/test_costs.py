@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -123,9 +125,11 @@ COST_CHARS = "0123456789٣५０²_+- eE/."
 
 def fraction_reference(value: str):
     """What `parse_cost` must return for a string: `Fraction(value)`,
-    an `int` when integral, or "reject"."""
+    an `int` when integral, or "reject", also when `str` cannot write its
+    numerator or denominator (more digits than `int` reads)."""
     try:
         f = Fraction(value)
+        str(f.numerator), str(f.denominator)
     except (ValueError, ZeroDivisionError):
         return "reject"
     return f.numerator if f.denominator == 1 else f
@@ -150,6 +154,16 @@ def fraction_reference(value: str):
 @example("1" * 3000 + "." + "1" * 3000)
 @example("1" * 5000)
 @example("1/" + "1" * 5000)
+@example("1" * 4300)
+@example("1" * 2000 + "." + "1" * 2000)
+@example("1e4300")
+@example("1e-4299")
+@example("1e5000")
+@example("1e-5000")
+@example("1" * 2000 + "e2300")
+@example("0e13000")
+@example("0 e13000")
+@example("0.e-13000")
 def test_parse_cost_strings_match_fraction(value):
     try:
         got = parse_cost(value)
@@ -157,6 +171,41 @@ def test_parse_cost_strings_match_fraction(value):
         got = "reject"
     want = fraction_reference(value)
     assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        ("1e999999999", InputError),
+        ("-1E+999_999_999", InputError),
+        (" 0.5e-999999999 ", InputError),
+        ("1/2e999999999", InputError),
+        ("0e999999999", 0),
+        ("-00.0E-999999999", 0),
+    ],
+)
+def test_parse_cost_reads_a_huge_exponent_without_expanding_it(value, want):
+    # `Fraction` would build 10**999999999, a 3.3-billion-bit int
+    began = time.perf_counter()
+    if want is InputError:
+        with pytest.raises(InputError, match="not a cost"):
+            parse_cost(value)
+    else:
+        assert parse_cost(value) == want
+    assert time.perf_counter() - began < 1
+
+
+def test_cost_digit_limit_follows_int():
+    digits = "1" * 5000
+    with pytest.raises(InputError):
+        parse_cost(digits)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_cost(digits) == int(digits)
+        assert parse_cost("1e5000") == 10**5000
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # JSON costs: strings over COST_CHARS, most of which do not parse, and ints

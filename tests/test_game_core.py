@@ -46,6 +46,8 @@ def test_digraph_indexing():
     assert g.out_arcs(0) == (0, 2)
     assert g.in_arcs(1) == (0, 2, 3)
     assert g.out_arcs(1) == (1, 3)  # loop appears in both
+    assert g.sinks == (2,)
+    assert Digraph.from_arcs(4, [(2, 0)]).sinks == (0, 1, 3)
 
 
 def test_digraph_rejects_bad_endpoint():
@@ -95,6 +97,27 @@ def test_terminal_must_be_sink():
 def test_sink_must_be_terminal():
     with pytest.raises(InputError):
         tiny([PLAYER1, PLAYER2], [(0, 1)], [1], [1])
+
+
+# vertex 0 and vertex 1 or 2 each break a rule; vertex 0 is named
+@pytest.mark.parametrize(
+    "owner, arcs, message",
+    [
+        (
+            [PLAYER1, TERMINAL, PLAYER2],
+            [(1, 0), (2, 0)],
+            "^vertex 0 has no outgoing arcs but is not terminal$",
+        ),
+        (
+            [TERMINAL, PLAYER1, PLAYER2],
+            [(0, 2), (1, 2)],
+            "^terminal vertex 0 has outgoing arcs$",
+        ),
+    ],
+)
+def test_lowest_vertex_off_the_sinks_raises(owner, arcs, message):
+    with pytest.raises(InputError, match=message):
+        tiny(owner, arcs, [1, 1], [1, 1])
 
 
 def test_cost_length_checked():

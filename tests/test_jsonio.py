@@ -10,7 +10,7 @@ from spgame.costs import parse_cost
 from spgame.errors import InputError
 from spgame.game import PLAYER1, PLAYER2, TERMINAL, SPGame
 from spgame.graph import Digraph
-from spgame.independence import CardinalityRule
+from spgame.independence import CardinalityRule, IndependenceOracle
 from spgame.interdiction import InterdictionGame
 from spgame.jsonio import (
     dumps,
@@ -321,13 +321,27 @@ def test_bulk_arc_table_raises_the_row_by_row_error():
             assert (r1, r2) == (expected[1], expected[2])
 
 
-def load_budget_tables_entry_by_entry(obj, monkeypatch):
-    """`interdiction_from_json` with every rule row converted on its own and
-    every budget `costs` table entry by entry, as the loader does when its
-    bulk column checks fail."""
-    with monkeypatch.context() as m:
-        m.setattr(jsonio, "_oracle_columns", lambda rows, graph, index: None)
-        return interdiction_from_json(obj)
+def reference_oracle(obj):
+    """The oracle of `obj`'s rule rows, each converted on its own by
+    `_rule_from_json` and imaged by `IndependenceOracle`: the reference for
+    the rows `interdiction_from_json` writes straight into the columns, and
+    for its errors."""
+    names, index = jsonio._vertex_table(obj)
+    tails, heads, _, _ = jsonio._arc_table(obj, index)
+    graph = Digraph.from_columns(len(names), tails, heads)
+    rules = {}
+    for pos, row in enumerate(obj["oracles"]):
+        if not isinstance(row, dict):
+            raise InputError(f"oracles[{pos}]: expected an oracle object")
+        u = jsonio._vertex_index(index, row.get("vertex"))
+        if u is None:
+            raise InputError(
+                f"oracle spec for unknown vertex {str(row.get('vertex'))!r}"
+            )
+        if u in rules:
+            raise InputError(f"duplicate oracle spec for vertex {names[u]!r}")
+        rules[u] = jsonio._rule_from_json(row, graph, u)
+    return IndependenceOracle(graph, rules)
 
 
 def respelled_budget_key(rng, e):
@@ -341,22 +355,39 @@ def respelled_budget_cost(rng, c):
 # keys and costs that are bad or spelled unusually
 ODD_BUDGET_KEYS = ["x", "1.5", "", "1e3", True, 1.0, None, "٣"]
 ODD_BUDGET_COSTS = [None, True, 1.5, "x", "1/0", [], "-1", 0, "0", -2, "+3", "٣"]
+BAD_RULE_ROWS = [
+    5,
+    {"kind": "cardinality", "k": "x"},
+    {"kind": "cardinality", "k": -1},
+    {"kind": "cardinality", "k": 3},  # out of range: no vertex has 4 arcs
+    {"kind": "budget", "costs": {}, "budget": 1},
+    {"kind": "explicit", "maximal": [[99]]},
+    {"kind": "sp", "owner": "T"},
+    {"kind": "matroid"},
+]
 
 
-def test_budget_tables_match_entry_by_entry_conversion(monkeypatch):
-    rng = random.Random("budget-tables")
-    checked = errors = 0
-    for seed in range(300):
-        generator = InstanceGenerator(seed)
-        game = generator.interdiction_game(kinds=("budget", "cardinality"))
-        obj = interdiction_to_json(game)
-        for row in obj["oracles"]:
+def mutate_rule_rows(rng, obj, terminal) -> None:
+    """Change `obj`'s rule rows in one of the ways the loader must read as
+    the reference does: respelled or odd budget tables, rational budgets,
+    `sp` rows, a row at the terminal, a bad row before a duplicate."""
+    rows = obj["oracles"]
+    action = rng.random()
+    if action < 0.4:
+        respell = rng.random() < 0.6
+        for row in rows:
             if row["kind"] == "budget":
-                row["costs"] = {
-                    respelled_budget_key(rng, int(e)): respelled_budget_cost(rng, c)
-                    for e, c in row["costs"].items()
-                }
-        budget_rows = [row for row in obj["oracles"] if row["kind"] == "budget"]
+                items = list(row["costs"].items())
+                if rng.random() < 0.3:
+                    rng.shuffle(items)
+                if respell:
+                    items = [
+                        (respelled_budget_key(rng, int(e)), respelled_budget_cost(rng, c))
+                        for e, c in items
+                    ]
+                    row["budget"] = respelled_budget_cost(rng, row["budget"])
+                row["costs"] = dict(items)
+        budget_rows = [row for row in rows if row["kind"] == "budget"]
         if budget_rows and rng.random() < 0.5:
             row = rng.choice(budget_rows)
             table = row["costs"]
@@ -366,45 +397,69 @@ def test_budget_tables_match_entry_by_entry_conversion(monkeypatch):
             elif action < 0.55:
                 table[rng.choice(ODD_BUDGET_KEYS)] = 1
             else:
-                table[rng.choice(list(table))] = rng.choice(ODD_BUDGET_COSTS)
+                odd = ODD_BUDGET_COSTS if respell else [0, -2, "3", 1.5]
+                table[rng.choice(list(table))] = rng.choice(odd)
+    elif action < 0.55:
+        for row in rng.sample(rows, rng.randint(1, len(rows))):
+            owner = rng.choice(["P1", "P2", "P1", "P2", "P3", None])
+            vertex = row["vertex"]
+            row.clear()
+            row.update(vertex=vertex, kind="sp", owner=owner)
+    elif action < 0.7:
+        rule = rng.choice(
+            [
+                {"kind": "cardinality", "k": 0},
+                {"kind": "budget", "costs": {}, "budget": rng.choice([0, 1, -1])},
+                {"kind": "explicit", "maximal": [[]]},
+                {"kind": "sp", "owner": "P2"},
+            ]
+        )
+        rows.insert(rng.randint(0, len(rows)), {"vertex": terminal, **rule})
+    elif action < 0.85:
+        # rational budgets, in the oracle's columns at scales above 1
+        for row in rows:
+            if row["kind"] == "budget":
+                q = rng.choice([2, 3, 10])
+                row["costs"] = {e: f"{c}/{q}" for e, c in row["costs"].items()}
+                row["budget"] = f"{row['budget'] * q + rng.randint(0, q - 1)}/{q ** 2}"
+    else:
+        pos = rng.randrange(len(rows))
+        rows.append(dict(rows[pos]))  # a duplicate, after a bad row or not
+        if rng.random() < 0.8:
+            bad = rng.choice(BAD_RULE_ROWS)
+            if isinstance(bad, dict):
+                bad = {"vertex": rows[pos]["vertex"], **bad}
+            rows[pos] = bad
+
+
+def test_rule_rows_load_as_the_row_by_row_reference():
+    rng = random.Random("rule-rows")
+    checked = errors = 0
+    for seed in range(400):
+        game = InstanceGenerator(seed).interdiction_game()
+        obj = interdiction_to_json(game)
+        mutate_rule_rows(rng, obj, game.names[game.terminal])
         try:
-            expected = load_budget_tables_entry_by_entry(obj, monkeypatch)
+            expected = reference_oracle(obj)
         except InputError as exc:
             errors += 1
             with pytest.raises(InputError) as got:
                 interdiction_from_json(obj)
             assert str(got.value) == str(exc)
-        else:
-            rules = interdiction_from_json(obj).oracle.rules
-            assert rules == expected.oracle.rules
-            for u, rule in rules.items():
-                if hasattr(rule, "costs"):
-                    want = expected.oracle.rules[u].costs
-                    assert list(rule.costs.items()) == list(want.items())
-                    assert [type(c) for c in rule.costs.values()] == [
-                        type(c) for c in want.values()
-                    ]
-            checked += 1
-    assert checked > 100 and errors > 20
-
-
-def test_sp_rows_load_as_cardinality_bounds(data_dir, monkeypatch):
-    obj = json.loads((data_dir / "interdict3.json").read_text())
-    obj["oracles"] = [
-        {"vertex": "s", "kind": "sp", "owner": "P1"},
-        {"vertex": "a", "kind": "sp", "owner": "P2"},
-    ]
-
-    def refuse(*args):
-        raise AssertionError("row converted one by one")
-
-    with monkeypatch.context() as m:  # sp rows go through the bulk path
-        m.setattr(jsonio, "_rule_from_json", refuse)
-        bulk = interdiction_from_json(obj).oracle
-    rows = load_budget_tables_entry_by_entry(obj, monkeypatch).oracle
-    for oracle in (bulk, rows):
-        assert oracle.cap == [1, 0, 0]  # no rule at `t`: cap 0
-        assert oracle.rules == {0: CardinalityRule(1), 1: CardinalityRule(0)}
+            continue
+        oracle = interdiction_from_json(obj).oracle
+        assert oracle.rules == expected.rules
+        for u, rule in oracle.rules.items():
+            if hasattr(rule, "costs"):
+                want = expected.rules[u]
+                assert list(rule.costs.items()) == list(want.costs.items())
+                assert [type(c) for c in [*rule.costs.values(), rule.budget]] == [
+                    type(c) for c in [*want.costs.values(), want.budget]
+                ]
+        assert oracle.cap == expected.cap
+        assert oracle.weight == expected.weight
+        checked += 1
+    assert checked > 150 and errors > 60
 
 
 def test_budget_keys_shifted_between_tables_are_foreign(data_dir):
