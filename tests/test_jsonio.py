@@ -462,6 +462,62 @@ def test_rule_rows_load_as_the_row_by_row_reference():
     assert checked > 150 and errors > 60
 
 
+def test_budget_tables_match_entry_by_entry_conversion():
+    rng = random.Random("budget-tables")
+    checked = errors = 0
+    for seed in range(300):
+        generator = InstanceGenerator(seed)
+        game = generator.interdiction_game(kinds=("budget", "cardinality"))
+        obj = interdiction_to_json(game)
+        for row in obj["oracles"]:
+            if row["kind"] == "budget":
+                row["costs"] = {
+                    respelled_budget_key(rng, int(e)): respelled_budget_cost(rng, c)
+                    for e, c in row["costs"].items()
+                }
+        budget_rows = [row for row in obj["oracles"] if row["kind"] == "budget"]
+        if budget_rows and rng.random() < 0.5:
+            row = rng.choice(budget_rows)
+            table = row["costs"]
+            action = rng.random()
+            if action < 0.1:
+                row["costs"] = rng.choice([list(table), None, "x", 1])
+            elif action < 0.55:
+                table[rng.choice(ODD_BUDGET_KEYS)] = 1
+            else:
+                table[rng.choice(list(table))] = rng.choice(ODD_BUDGET_COSTS)
+        try:
+            expected = reference_oracle(obj)
+        except InputError as exc:
+            errors += 1
+            with pytest.raises(InputError) as got:
+                interdiction_from_json(obj)
+            assert str(got.value) == str(exc)
+        else:
+            rules = interdiction_from_json(obj).oracle.rules
+            assert rules == expected.rules
+            for u, rule in rules.items():
+                if hasattr(rule, "costs"):
+                    want = expected.rules[u].costs
+                    assert list(rule.costs.items()) == list(want.items())
+                    assert [type(c) for c in rule.costs.values()] == [
+                        type(c) for c in want.values()
+                    ]
+            checked += 1
+    assert checked > 100 and errors > 20
+
+
+def test_sp_rows_load_as_cardinality_bounds(data_dir):
+    obj = json.loads((data_dir / "interdict3.json").read_text())
+    obj["oracles"] = [
+        {"vertex": "s", "kind": "sp", "owner": "P1"},
+        {"vertex": "a", "kind": "sp", "owner": "P2"},
+    ]
+    for oracle in (interdiction_from_json(obj).oracle, reference_oracle(obj)):
+        assert oracle.cap == [1, 0, 0]  # no rule at `t`: cap 0
+        assert oracle.rules == {0: CardinalityRule(1), 1: CardinalityRule(0)}
+
+
 def test_budget_keys_shifted_between_tables_are_foreign(data_dir):
     # the tables' keys, read one after the other, are the arcs of their
     # vertices in order, but arc 2 is listed under `s`, which it does not
