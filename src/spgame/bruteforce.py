@@ -86,18 +86,15 @@ def verify_ne(game: SPGame, sit: Situation, cap: int | None = None) -> VerifyRes
 # interdiction
 
 
-def _removal_assignments(game, cap, maximal_only=False):
-    inner = [u for u in range(game.graph.n) if u != game.terminal]
-    fams = [
-        maximal_independent_sets(game.oracle, u)
-        if maximal_only
-        else independent_sets(game.oracle, u)
-        for u in inner
-    ]
-    count = prod(len(f) for f in fams) if fams else 1
+def _assignments(sets_at, oracle, vertices, cap: int, what: str) -> list:
+    """`sets_at(oracle, u)` per vertex of `vertices`, whose product is the
+    assignments to enumerate; CapExceeded names `what` if it has more
+    than `cap` members."""
+    fams = [sets_at(oracle, u) for u in vertices]
+    count = prod(map(len, fams))
     if count > cap:
-        raise CapExceeded(f"{count} removal assignments, cap is {cap}")
-    return inner, fams
+        raise CapExceeded(f"{count} {what} assignments, cap is {cap}")
+    return fams
 
 
 def verify_ne_interdiction(
@@ -108,17 +105,15 @@ def verify_ne_interdiction(
     cap = cap if cap is not None else default_cap()
     c1, c2, _ = interdiction_cost(game, sit)
 
-    inner, fams = _removal_assignments(game, cap)
+    inner = [u for u in range(game.graph.n) if u != game.terminal]
+    fams = _assignments(independent_sets, game.oracle, inner, cap, "removal")
     for choice in product(*fams):
         trial = InterdictionSituation(dict(zip(inner, choice)), sit.offered)
         cost = interdiction_cost(game, trial)[0]
         if cost < c1:
             return VerifyResult(False, PLAYER1, trial, cost)
 
-    offers = [dependent_sets(game.oracle, u) for u in inner]
-    count = prod(len(f) for f in offers) if offers else 1
-    if count > cap:
-        raise CapExceeded(f"{count} offer assignments, cap is {cap}")
+    offers = _assignments(dependent_sets, game.oracle, inner, cap, "offer")
     for choice in product(*offers):
         trial = InterdictionSituation(sit.removed, dict(zip(inner, choice)))
         cost = interdiction_cost(game, trial)[1]
@@ -141,15 +136,8 @@ def exhaustive_phi(
     the same maxima since removing more never shortens a path)."""
     cap = cap if cap is not None else default_cap()
     inner = [u for u in range(graph.n) if graph.out[u]]
-    fams = [
-        maximal_independent_sets(oracle, u)
-        if maximal_only
-        else independent_sets(oracle, u)
-        for u in inner
-    ]
-    count = prod(len(f) for f in fams) if fams else 1
-    if count > cap:
-        raise CapExceeded(f"{count} removal assignments, cap is {cap}")
+    sets_at = maximal_independent_sets if maximal_only else independent_sets
+    fams = _assignments(sets_at, oracle, inner, cap, "removal")
     best = [None] * graph.n
     for choice in product(*fams):
         removed = set().union(*choice) if choice else set()

@@ -257,10 +257,17 @@ class Metric:
         return f"Metric({tuple(self)!r})"
 
 
+# no digit limit is below 640 (`sys.int_info.str_digits_check_threshold`),
+# and an int of at most 3 * 640 bits has fewer than 640 digits
+_SHORT_BITS = 3 * 640
+
+
 def cost_to_json(c: Cost):
     """Render a cost for JSON output: ints as ints, other rationals as
-    "p/q" strings, infinity as "inf"."""
-    if type(c) is int:
+    "p/q" strings, infinity as "inf".  A cost with more digits than `str`
+    writes, such as a sum of costs each within the limit, is an
+    InputError."""
+    if type(c) is int and c.bit_length() <= _SHORT_BITS:
         return c
     # a Fraction is never INF: testing its type first spares it a
     # comparison with a float
@@ -268,6 +275,10 @@ def cost_to_json(c: Cost):
         if c == INF:
             return "inf"
         c = Fraction(c)
-    if c.denominator == 1:
-        return c.numerator
-    return f"{c.numerator}/{c.denominator}"
+    n, d = c.numerator, c.denominator
+    if n.bit_length() > _SHORT_BITS or d.bit_length() > _SHORT_BITS:
+        try:
+            _in_limit(n, d)
+        except ValueError as exc:
+            raise InputError(f"cannot write a cost of {exc}") from exc
+    return n if d == 1 else f"{n}/{d}"

@@ -37,11 +37,6 @@ class WeakPlayerCanForce(PreconditionViolated):
     force infinite cost."""
 
 
-class InfinitePotential(PreconditionViolated):
-    """A cost transform touched an arc whose endpoint has infinite
-    potential."""
-
-
 class CapExceeded(SPGameError):
     """An enumeration exceeded the configured work cap."""
 

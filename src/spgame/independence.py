@@ -68,8 +68,18 @@ class DualRule:
 def explicit_rule(sets: Iterable[Iterable[int]]) -> ExplicitRule:
     """Normalize generating sets: keep the maximal ones, at least `{}`."""
     fams = {frozenset(s) for s in sets} or {frozenset()}
-    maximal = [s for s in fams if not any(s < o for o in fams)]
-    return ExplicitRule(tuple(sorted(maximal, key=sorted)))
+    holding: dict[int, list] = {}  # arc -> the sets that hold it
+    for s in fams:
+        for e in s:
+            holding.setdefault(e, []).append(s)
+
+    def maximal(s: frozenset) -> bool:
+        # a strict superset holds every arc of s, its rarest one too
+        if not s:
+            return len(fams) == 1
+        return not any(s < o for o in min(map(holding.get, s), key=len))
+
+    return ExplicitRule(tuple(sorted(filter(maximal, fams), key=sorted)))
 
 
 class IndependenceOracle:

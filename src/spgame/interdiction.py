@@ -229,15 +229,9 @@ def _one_sided_strategies(
     arcs strictly cheaper (in reduced cost) than the path arc, which makes
     the path arc the cheapest surviving option."""
     B = pot.infinite_vertices
-    U = pot.finite_vertices
-    scope = [
-        e
-        for e in range(graph.m)
-        if graph.tails[e] in U and graph.heads[e] in U
-    ]
-    red = reduce_costs(graph, r_choose, pot.potential.ints, scope)
+    red = reduce_costs(graph, r_choose, pot.potential.ints)
 
-    good = {e for e in scope if red[e] <= 0}
+    good = {e for e, c in red.items() if c <= 0}
     dist = dist_to_target(graph, t, r_path, arc_ok=good.__contains__)
     if not is_finite(dist[s]):
         raise InternalInvariantError(
@@ -253,13 +247,11 @@ def _one_sided_strategies(
             continue
         if u in B:
             removed[u] = frozenset(
-                e for e in graph.out[u] if graph.heads[e] in U
+                e for e in graph.out[u] if graph.heads[e] not in B
             )
             offered[u] = frozenset(_dependent_prefix(oracle, u))
             continue
-        offered[u] = frozenset(
-            e for e in graph.out[u] if e in red and red[e] <= 0
-        )
+        offered[u] = frozenset(e for e in graph.out[u] if e in good)
         if u in on_path:
             e = on_path[u]
             removed[u] = frozenset(

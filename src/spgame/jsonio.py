@@ -419,10 +419,13 @@ def load_path(path: str):
 
 
 def jsonable(value) -> Any:
-    """Recursive conversion of result payloads (fractions, sets, tuples)
-    into JSON-ready structures."""
+    """Recursive conversion of result payloads (fractions, metrics, sets,
+    tuples) into JSON-ready structures; a `Metric` is the list of its exact
+    values."""
     if isinstance(value, (Fraction, float)):
         return cost_to_json(value)
+    if type(value) is Metric:
+        return list(map(cost_to_json, value))
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (set, frozenset)):

@@ -46,7 +46,7 @@ from .game import (
     play_of,
 )
 from .independence import sp_blocking_oracle
-from .transform import ReducedCosts, reduce_costs
+from .transform import reduce_costs
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def can_block(game: SPGame, player: int) -> BlockResult:
 
 def aligned_reduced_costs(
     game: SPGame,
-) -> tuple[ReducedCosts, ReducedCosts, Potentials, Potentials]:
+) -> tuple[dict, dict, Potentials, Potentials]:
     """Both players' worst-case distances, turned into reduced cost maps.
     Requires every distance finite (raises BlockerExists otherwise).
 
@@ -251,9 +251,10 @@ def aligned_reduced_costs(
 
 
 def ne_from_zero_reduced_costs(
-    game: SPGame, red1: ReducedCosts, red2: ReducedCosts
+    game: SPGame, red1: dict, red2: dict
 ) -> NEResult:
-    """Terminal equilibrium from two aligned reduced cost maps.
+    """Terminal equilibrium from two aligned reduced cost maps, each a
+    dict from arc to reduced cost as `reduce_costs` returns it.
 
     Preconditions, checked per non-terminal vertex u with owner i: the
     owner's reduced costs have minimum zero; some arc has owner-reduced
@@ -272,9 +273,7 @@ def ne_from_zero_reduced_costs(
         red_i, red_j = own[i], own[opponent(i)]
         for e in g.out[u]:
             if e not in red_i or e not in red_j:
-                raise PreconditionViolated(
-                    f"arc {e} is outside the reduced-cost scope"
-                )
+                raise PreconditionViolated(f"arc {e} has no reduced cost")
         if min(red_i[e] for e in g.out[u]) != 0:
             raise PreconditionViolated(
                 f"vertex {u}: owner's reduced costs do not bottom out at 0"
@@ -345,7 +344,8 @@ def terminal_ne_against_forcer(
     ever pushed there.  `pot`, if given, holds those distances as
     `shortest_longest_distances` returns them, on the strong metric's
     integer image; potentials built from exact values at another scale
-    are converted to it.  The certificate holds them as exact values."""
+    are converted to it.  The certificate holds them as given, a `Metric`
+    that the writer prints as exact values."""
     m = opponent(weak_player)  # the player whose metric drives the region
     if pot is None:
         pot = shortest_longest_distances(game, m)
@@ -357,27 +357,21 @@ def terminal_ne_against_forcer(
             f"player {weak_player} can force infinite cost"
         )
     B = pot.infinite_vertices
-    U = pot.finite_vertices
 
     metric = game.cost(m)
     phi = pot.potential.ints
     if pot.potential.scale != metric.scale:
         phi = [v if v == INF else int(v * metric.scale) for v in pot.potential]
-    scope = [
-        e
-        for e in range(g.m)
-        if g.tails[e] in U and g.heads[e] in U
-    ]
-    red = reduce_costs(g, metric.ints, phi, scope)
+    red = reduce_costs(g, metric.ints, phi)
 
     def zero_arc(u: int) -> int:
         return next(
-            (e for e in g.out[u] if e in red and red[e] == 0), g.out[u][0]
+            (e for e in g.out[u] if red.get(e) == 0), g.out[u][0]
         )
 
     # inside B every arc of the strong player stays inside B
     sigma_m = {
-        u: zero_arc(u) if u in U else g.out[u][0]
+        u: g.out[u][0] if u in B else zero_arc(u)
         for u in game.vertices_of(m)
     }
 
@@ -397,12 +391,12 @@ def terminal_ne_against_forcer(
     for u in game.vertices_of(weak_player):
         if u in path_arc_at:
             sigma_w[u] = path_arc_at[u]
-        elif u in U:
-            sigma_w[u] = zero_arc(u)
-        else:
+        elif u in B:
             sigma_w[u] = next(
                 (e for e in g.out[u] if g.heads[e] in B), g.out[u][0]
             )
+        else:
+            sigma_w[u] = zero_arc(u)
 
     sit = (
         Situation(sigma_m, sigma_w)
@@ -412,7 +406,7 @@ def terminal_ne_against_forcer(
     cert = {
         "method": "one-sided",
         "weak_player": weak_player,
-        "potential": tuple(pot.potential),
+        "potential": pot.potential,
         "infinite_region": tuple(sorted(B)),
     }
     return _certified(game, sit, cert, {weak_player: wdist[s]})
@@ -427,8 +421,8 @@ def solve(game: SPGame) -> NEResult:
 
     The sweeps, distances and paths run on the metrics' integer images
     (`Metric.ints`), which have the same equilibria, heap order and
-    tie-breaks; exact values are made once, for the play's costs and the
-    certificate's potential."""
+    tie-breaks; exact values are made once, for the play's costs, and the
+    certificate's potential only when it is written."""
     pots = {}
     for weak in (PLAYER2, PLAYER1):
         strong = opponent(weak)

@@ -9,45 +9,21 @@ arcs whose reduced cost is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .costs import Cost, is_finite
-from .errors import InfinitePotential
 from .graph import Digraph
 
 
-@dataclass(frozen=True)
-class ReducedCosts:
-    """Reduced cost per arc within `scope`; arcs outside scope are absent."""
-
-    values: Mapping[int, Cost]
-    scope: frozenset
-
-    def __getitem__(self, e: int) -> Cost:
-        return self.values[e]
-
-    def __contains__(self, e: int) -> bool:
-        return e in self.scope
-
-
 def reduce_costs(
-    graph: Digraph,
-    weights: Sequence,
-    potential: Sequence,
-    scope=None,
-) -> ReducedCosts:
+    graph: Digraph, weights: Sequence, potential: Sequence
+) -> dict[int, Cost]:
     """reduced(u, v) = cost(u, v) + potential(v) - potential(u) for every
-    arc in `scope` (default: all arcs).  Raises InfinitePotential if a
-    scoped arc touches a vertex with infinite potential."""
-    if scope is None:
-        scope = range(graph.m)
-    values = {}
-    for e in scope:
-        u, v = graph.tails[e], graph.heads[e]
-        if not (is_finite(potential[u]) and is_finite(potential[v])):
-            raise InfinitePotential(
-                f"arc {e} touches a vertex with infinite potential"
-            )
-        values[e] = weights[e] + potential[v] - potential[u]
-    return ReducedCosts(values, frozenset(values))
+    arc whose two endpoints have finite potential; an arc that touches a
+    vertex of infinite potential has no reduced cost and is left out."""
+    finite = [is_finite(p) for p in potential]
+    return {
+        e: weights[e] + potential[v] - potential[u]
+        for e, (u, v) in enumerate(zip(graph.tails, graph.heads))
+        if finite[u] and finite[v]
+    }

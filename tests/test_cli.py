@@ -346,6 +346,52 @@ def test_cost_past_the_digit_limit_is_input_error(capsys, tmp_path, chain, cost)
     assert report["message"] == f"arc 1: bad cost (not a cost: {cost!r})"
 
 
+BIG = "9" * 4300  # the most digits `int` reads and `str` writes by default
+
+
+def big_chain():
+    return {
+        "vertices": [
+            {"id": "s", "owner": "P1"},
+            {"id": "a", "owner": "P1"},
+            {"id": "t", "owner": "T"},
+        ],
+        "start": "s",
+        "arcs": [
+            {"id": 0, "tail": "s", "head": "a", "r1": BIG, "r2": 1},
+            {"id": 1, "tail": "a", "head": "t", "r1": BIG, "r2": 1},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["solve", "--certificate"], ["phi", "--player", "1"]]
+)
+def test_sum_past_the_digit_limit_is_input_error(capsys, tmp_path, argv):
+    # each cost loads, but the play cost and the potential at s have 4301
+    # digits, which `str` cannot write
+    code, out, err = run(capsys, *argv, write_json(tmp_path, big_chain()))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "InputError",
+        "message": "cannot write a cost of more than 4300 digits",
+    }
+
+
+def test_costs_at_the_digit_limit_are_written(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "normalize", "--bipartize", write_json(tmp_path, big_chain())
+    )
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["vertices"][-1] == {"id": "s~a#0", "owner": "P2"}
+    assert [(a["r1"], a["r2"]) for a in obj["arcs"]] == [
+        (f"{BIG}/2", "1/2"),
+        (f"{BIG}/2", "1/2"),
+        (int(BIG), 1),
+    ]
+
+
 @pytest.mark.parametrize("which", ["game", "situation"])
 def test_deeply_nested_json_is_input_error(capsys, tmp_path, chain, which):
     deep = tmp_path / "deep.json"

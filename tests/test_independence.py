@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -56,6 +57,31 @@ def test_explicit_rule_factory_normalizes():
     r = explicit_rule([{0}, {0, 1}, {2}, {2}])
     assert r.maximal == (frozenset({0, 1}), frozenset({2}))
     assert explicit_rule([]).maximal == (frozenset(),)
+
+
+def test_explicit_rule_matches_pairwise_pruning():
+    # the per-arc index against the definition: keep the sets no other
+    # set strictly contains
+    def pairwise(sets):
+        fams = {frozenset(s) for s in sets} or {frozenset()}
+        maximal = [s for s in fams if not any(s < o for o in fams)]
+        return tuple(sorted(maximal, key=sorted))
+
+    rng = random.Random(68)
+    families = [[], [[]], [[], []], [[], [3]], [[1, 2], [2, 1], [1], []]]
+    for _ in range(300):
+        arcs = rng.randint(1, 8)
+        families.append(
+            [
+                rng.sample(range(arcs), rng.randint(0, arcs))
+                for _ in range(rng.randint(0, 12))
+            ]
+        )
+        # duplicates and subsets of sets already drawn
+        families[-1] += [rng.choice(families[-1]) for _ in range(2) if families[-1]]
+        families[-1] += [s[: len(s) // 2] for s in families[-1][:3]]
+    for sets in families:
+        assert explicit_rule(sets).maximal == pairwise(sets), sets
 
 
 def test_dual_rule_definition():

@@ -36,7 +36,6 @@ from spgame.ne import (
     solve,
     terminal_ne_against_forcer,
 )
-from spgame.transform import ReducedCosts
 
 
 def loop_gadget():
@@ -218,7 +217,7 @@ def test_zero_construction_rejects_inconsistent_maps():
     )
     red1, red2, _, _ = aligned_reduced_costs(game)
     ne_from_zero_reduced_costs(game, red1, red2)  # genuine maps work
-    fake2 = ReducedCosts({0: F(1), 1: F(0)}, frozenset({0, 1}))
+    fake2 = {0: F(1), 1: F(0)}
     with pytest.raises(PreconditionViolated):
         ne_from_zero_reduced_costs(game, red1, fake2)
 
@@ -232,14 +231,14 @@ def test_zero_construction_rejects_cyclic_maps():
         (F(1),) * 4,
         (F(1),) * 4,
     )
-    flat = ReducedCosts({e: F(0) for e in range(4)}, frozenset(range(4)))
+    flat = {e: F(0) for e in range(4)}
     with pytest.raises(PreconditionViolated):
         ne_from_zero_reduced_costs(game, flat, flat)
 
 
 def test_zero_construction_rejects_partial_scope():
     game = loop_gadget()
-    short = ReducedCosts({1: F(0)}, frozenset({1}))
+    short = {1: F(0)}
     with pytest.raises(PreconditionViolated):
         ne_from_zero_reduced_costs(game, short, short)
 

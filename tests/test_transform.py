@@ -1,11 +1,8 @@
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from spgame.costs import INF
 from spgame.dijkstra import dist_to_target
-from spgame.errors import InfinitePotential
 from spgame.graph import Digraph
 from spgame.transform import reduce_costs
 
@@ -54,29 +51,19 @@ def test_shortest_path_potentials_make_tight_arcs_zero():
     for _ in range(20):
         g, w = random_graph(rng, 6)
         dist = dist_to_target(g, 5, w)
-        scope = [
-            e
-            for e in range(g.m)
-            if dist[g.tails[e]] != INF and dist[g.heads[e]] != INF
-        ]
-        red = reduce_costs(g, w, dist, scope)
-        for e in scope:
-            assert red[e] >= 0
+        red = reduce_costs(g, w, dist)
+        for e, c in red.items():
+            assert c >= 0
             tight = w[e] + dist[g.heads[e]] == dist[g.tails[e]]
-            assert (red[e] == 0) == tight
+            assert (c == 0) == tight
 
 
-def test_scope_restricts_output():
-    g = Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
-    red = reduce_costs(g, (F(1), F(1), F(1)), (0, 0, 0), scope=[2])
-    assert red.scope == frozenset({2})
-    with pytest.raises(KeyError):
-        red[0]
-
-
-def test_infinite_potential_rejected_in_scope():
-    g = Digraph.from_arcs(2, [(0, 1)])
-    with pytest.raises(InfinitePotential):
-        reduce_costs(g, (F(1),), (0, INF))
-    red = reduce_costs(g, (F(1),), (0, INF), scope=[])
-    assert red.scope == frozenset()
+def test_arcs_touching_infinite_potential_are_left_out():
+    # exactly the arcs with two finite endpoints get a reduced cost, and an
+    # infinite potential is no error
+    g = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 1)])
+    w = tuple(F(e + 1) for e in range(g.m))
+    red = reduce_costs(g, w, (F(1, 2), 0, INF, 3))
+    assert type(red) is dict
+    assert red == {0: F(1, 2), 3: F(3, 2), 5: F(6)}
+    assert reduce_costs(Digraph.from_arcs(2, [(0, 1)]), (F(1),), (0, INF)) == {}
